@@ -1,112 +1,80 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-deprecations trace-smoke fed-smoke bench-smoke kernel-smoke crash-smoke service-smoke telemetry-smoke solver-smoke evolution-smoke replica-smoke serve bench example
+.PHONY: test test-deprecations serve bench example
 
 ## Tier-1: the full unit/integration/e2e suite.
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-## Same suite with DeprecationWarning promoted to an error: proves every
-## in-repo caller is off the deprecated surfaces (direct matrix
-## construction).  The repro.instrumentation shim and positional option
-## arguments completed their deprecation cycles and are gone — imports /
-## positional use are plain errors now (the latter covered by
-## tests/integration/test_keyword_shims.py).
+## Same suite with DeprecationWarning promoted to an error.  No
+## deprecation cycle is open (the last shims are gone), so this keeps a
+## newly deprecated surface from gaining in-repo callers.
 test-deprecations:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -W error::DeprecationWarning
 
-## Observability smoke: run the EXP-CLO workload with tracing enabled and
-## fail if any instrumented phase (1-4 or the tool screens) emits zero
-## spans.  See docs/OBSERVABILITY.md.
-trace-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_obs.py --smoke
+## The smoke gates, one row each: the test subset it runs first (if
+## any), then the recorder and its flags.  A recorder writes its
+## BENCH_*.json with a gate table and exits non-zero when a gate fails
+## (see benchmarks/harness.py).  `make <name>-smoke` runs one row;
+## `make smoke` runs them all and names every row that failed.
+##
+## trace:     every instrumented phase (1-4, tool) emits spans
+##            (docs/OBSERVABILITY.md)
+## fed:       8-component concurrent fan-out >= 2x sequential; fault
+##            injection never leaks (docs/FEDERATION.md)
+## bench:     the closure + equivalence-screen benchmarks, then the
+##            incremental counters -> BENCH_incremental.json
+## kernel:    per-event bus cost <= 5% of an incremental retract;
+##            snapshot restore <= 50 ms (docs/ARCHITECTURE.md)
+## crash:     crash-anywhere properties; WAL commit <= 5% of an
+##            incremental retract; paper recovery <= 50 ms
+##            (docs/DURABILITY.md)
+## service:   >= 16 concurrent tenants, zero failed requests, real
+##            eviction churn, p99 <= 750 ms (docs/SERVICE.md)
+## telemetry: a live scrape parses, both SSE streams carry correlated
+##            items (docs/OBSERVABILITY.md)
+## solver:    fixpoint parity with derivations, verified-minimal
+##            conflicts, suggestion top-3 recall (docs/SOLVER.md)
+## evolution: one edit's repair <= 10% of a rebuild; exactly the stale
+##            plan dropped (docs/EVOLUTION.md)
+## replica:   lag p99 <= 250 ms, promotion <= 1 s, zero chaos
+##            divergence (docs/REPLICATION.md)
+SMOKES := trace fed bench kernel crash service telemetry solver evolution replica
 
-## Federation smoke: record BENCH_federation.json and gate on it — fails
-## if concurrent fan-out is not >= 2x the sequential baseline on 8
-## components, or if fault injection leaks an unhandled exception.
-## See docs/FEDERATION.md.
-fed-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_federation.py
+trace_recorder := record_obs.py --smoke
+fed_recorder := record_federation.py
+bench_tests := benchmarks/bench_exp_closure.py \
+	benchmarks/bench_screens_equivalence.py \
+	--benchmark-disable-gc --benchmark-warmup=off
+bench_recorder := record_incremental.py
+kernel_recorder := record_kernel.py
+crash_tests := tests/kernel/test_crash_anywhere.py tests/faults
+crash_recorder := record_durability.py
+service_tests := tests/service
+service_recorder := record_service.py --smoke
+telemetry_recorder := telemetry_smoke.py
+solver_tests := tests/solver tests/workloads/test_conflict_generator.py
+solver_recorder := record_solver.py
+evolution_tests := tests/evolution tests/workloads/test_evolution_script.py
+evolution_recorder := record_evolution.py
+replica_tests := tests/replication tests/obs/test_replication_gauges.py \
+	tests/workloads/test_traffic.py
+replica_recorder := record_replication.py --smoke
 
-## Quick benchmark smoke: the closure and equivalence-screen workloads,
-## then the counter recording to BENCH_incremental.json.
-bench-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		benchmarks/bench_exp_closure.py \
-		benchmarks/bench_screens_equivalence.py \
-		--benchmark-disable-gc --benchmark-warmup=off
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_incremental.py
+SMOKE_TARGETS := $(SMOKES:%=%-smoke)
+.PHONY: smoke $(SMOKE_TARGETS)
 
-## Kernel smoke: record BENCH_kernel.json and gate on it — fails if the
-## per-event bus overhead exceeds 5% of the incremental-propagation
-## baseline, or if restoring the paper world from a snapshot takes more
-## than 50 ms.  See docs/ARCHITECTURE.md.
-kernel-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_kernel.py
+$(SMOKE_TARGETS): %-smoke:
+	$(if $($*_tests),PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q $($*_tests))
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/$($*_recorder)
 
-## Durability smoke: the crash-anywhere property tests, then record
-## BENCH_durability.json and gate on it — fails if journalling one
-## committed transaction costs more than 5% of the incremental baseline,
-## or if recovering the paper world (save + WAL tail) takes more than
-## 50 ms.  See docs/DURABILITY.md.
-crash-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/kernel/test_crash_anywhere.py tests/faults
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_durability.py
-
-## Service smoke: the multi-tenant HTTP service tests, then record
-## BENCH_service.json and gate on it — fails unless >= 16 concurrent
-## tenants complete the full lifecycle with zero failed requests, the
-## residency bound forces real eviction/rehydration churn, and p99
-## request latency stays under the ceiling.  See docs/SERVICE.md.
-service-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q tests/service
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_service.py --smoke
-
-## Telemetry smoke: boot a real server, strictly parse a /v1/metrics
-## scrape, then drive a background integration while consuming both SSE
-## streams (kernel events + tracer spans) over live sockets — fails on
-## malformed exposition, zero streamed items, or a lost X-Request-Id.
-## Results land under the telemetry_smoke key of BENCH_obs.json.
-## See docs/OBSERVABILITY.md.
-telemetry-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/telemetry_smoke.py
-
-## Solver smoke: the solver test suite (fixpoint-vs-oracle properties,
-## QuickXplain minimality, suggestion ranking), then record
-## BENCH_solver.json and gate on it — fails unless the batch fixpoint
-## matches the incremental closure on conflict-free workloads, every
-## planted contradiction is caught with a verified-minimal conflict
-## set, and a planted true equivalence ranks in the suggestion top 3.
-## See docs/SOLVER.md.
-solver-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/solver tests/workloads/test_conflict_generator.py
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_solver.py
-
-## Evolution smoke: the typed-edit suite (verb semantics, rebuild-oracle
-## properties, scripted traffic), then record BENCH_evolution.json and
-## gate on it — fails unless one edit's repair recomputes at most 10%
-## of the OCS cells and propagation steps a from-scratch rebuild pays,
-## and exactly the cached plans touching the edited class are dropped.
-## See docs/EVOLUTION.md.
-evolution-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/evolution tests/workloads/test_evolution_script.py
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_evolution.py
-
-## Replication smoke: the WAL-shipping suite (shipper/applier parity,
-## service routing + failover, the replication chaos property), then
-## record BENCH_replication.json and gate on it — fails unless
-## steady-state lag p99 <= 250ms, promotion-to-first-served-read <= 1s,
-## and a crash-scheduled chaos run observes zero divergent
-## fingerprints.  See docs/REPLICATION.md.
-replica-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/replication tests/obs/test_replication_gauges.py \
-		tests/workloads/test_traffic.py
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_replication.py --smoke
+smoke:
+	@failed=""; \
+	for name in $(SMOKES); do \
+		$(MAKE) --no-print-directory $$name-smoke || failed="$$failed $$name-smoke"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "smoke FAILED:$$failed" >&2; exit 1; fi
 
 ## Run the integration service locally (demo token demo:demo-token).
 serve:

@@ -23,133 +23,63 @@ Exits non-zero when a gate fails.
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.baselines.closure_baselines import (  # noqa: E402
-    drive_assertions_with_closure,
-)
-from repro.kernel.wal import WriteAheadLog  # noqa: E402
-from repro.tool.session import ToolSession  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
-    GeneratorConfig,
-    generate_schema_pair,
-)
-from repro.workloads.university import (  # noqa: E402
+import harness
+from harness import Gates, schema_sizes, timed
+from repro.kernel.wal import WriteAheadLog
+from repro.tool.session import ToolSession
+from repro.workloads.university import (
     PAPER_ASSERTION_CODES,
     PAPER_RELATIONSHIP_CODES,
     build_sc1,
     build_sc2,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_durability.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_durability.json"
 
 WAL_COMMITS = 300
 APPEND_OVERHEAD_CEILING = 0.05  # per-commit WAL cost vs. incremental retract
 RECOVERY_CEILING_SECONDS = 0.050
 
-PAPER_DECLARATIONS = [
-    ("sc1.Student.Name", "sc2.Grad_student.Name"),
-    ("sc1.Student.Name", "sc2.Faculty.Name"),
-    ("sc1.Student.GPA", "sc2.Grad_student.GPA"),
-    ("sc1.Department.Name", "sc2.Department.Name"),
-    ("sc1.Majors.Since", "sc2.Majors.Since"),
-]
-
 #: A commit record the size of a real declare-equivalent transaction.
-SAMPLE_EVENTS = [
-    {
-        "offset": 1,
-        "txn": 1,
-        "scope": "registry",
-        "action": "declare_equivalent",
-        "payload": {
-            "first": "sc1.Student.Name",
-            "second": "sc2.Grad_student.Name",
-        },
-        "objects": [["sc1", "Student"], ["sc2", "Grad_student"]],
-    }
-]
-
-
-def repo_sha() -> str:
-    """The repo's HEAD SHA, or ``unknown`` outside a git checkout."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def schema_sizes(*schemas) -> list[dict]:
-    """Per-schema size metadata: object classes and attribute counts."""
-    return [
-        {
-            "name": schema.name,
-            "object_classes": len(schema),
-            "attributes": schema.attribute_count(),
-        }
-        for schema in schemas
-    ]
+SAMPLE_EVENT = {
+    "offset": 1,
+    "txn": 1,
+    "scope": "registry",
+    "action": "declare_equivalent",
+    "payload": {
+        "first": "sc1.Student.Name",
+        "second": "sc2.Grad_student.Name",
+    },
+    "objects": [["sc1", "Student"], ["sc2", "Grad_student"]],
+}
 
 
 def measure_wal_append(sync: bool) -> dict:
     """Mean seconds per committed transaction hitting the WAL."""
     with tempfile.TemporaryDirectory() as tmp:
         wal = WriteAheadLog(Path(tmp) / "wal", sync=sync)
-        started = time.perf_counter()
-        for index in range(WAL_COMMITS):
-            events = [dict(SAMPLE_EVENTS[0], offset=index + 1)]
-            wal.commit(events)
-        elapsed = time.perf_counter() - started
+
+        def commit_all() -> None:
+            for index in range(WAL_COMMITS):
+                wal.commit([dict(SAMPLE_EVENT, offset=index + 1)])
+
+        elapsed, _ = timed(commit_all)
         wal.close()
     return {
         "commits": WAL_COMMITS,
         "fsync": sync,
         "total_seconds": round(elapsed, 6),
-        "per_commit_seconds": elapsed / WAL_COMMITS,
-    }
-
-
-def measure_incremental_baseline() -> dict:
-    """One incremental retract on the EXP-CLO workload (the PR-1 baseline)."""
-    from repro.assertions.kinds import Source
-
-    pair = generate_schema_pair(
-        GeneratorConfig(seed=17, concepts=16, overlap=0.6, category_rate=0.5)
-    )
-    network, _ = drive_assertions_with_closure(
-        pair.first, pair.second, pair.truth
-    )
-    specified = [
-        a for a in network.specified_assertions() if a.source is Source.DDA
-    ]
-    target = specified[len(specified) // 2]
-    started = time.perf_counter()
-    network.retract(target.first, target.second)
-    elapsed = time.perf_counter() - started
-    return {
-        "workload": "bench_exp_closure (concepts=16, one retract)",
-        "seconds": elapsed,
+        "per_commit_seconds": round(elapsed / WAL_COMMITS, 9),
     }
 
 
 def drive_paper_sitting(session: ToolSession) -> None:
     """The paper's sc1/sc2 DDA flow against an already-schema'd session."""
     session.select_pair("sc1", "sc2")
-    for first, second in PAPER_DECLARATIONS:
+    for first, second in harness.PAPER_DECLARATIONS:
         session.registry.declare_equivalent(first, second)
     for first, second, code in PAPER_ASSERTION_CODES:
         session.analysis.specify(first, second, code)
@@ -166,9 +96,7 @@ def measure_paper_sitting(durable: bool, root: Path) -> float:
         session = ToolSession()
     session.adopt_schema(build_sc1())
     session.adopt_schema(build_sc2())
-    started = time.perf_counter()
-    drive_paper_sitting(session)
-    return time.perf_counter() - started
+    return timed(lambda: drive_paper_sitting(session))[0]
 
 
 def measure_recovery(root: Path) -> dict:
@@ -178,10 +106,10 @@ def measure_recovery(root: Path) -> dict:
     session.adopt_schema(build_sc1())
     session.adopt_schema(build_sc2())
     session.select_pair("sc1", "sc2")
-    for first, second in PAPER_DECLARATIONS[:3]:
+    for first, second in harness.PAPER_DECLARATIONS[:3]:
         session.registry.declare_equivalent(first, second)
     session.save(path)  # checkpoint mid-sitting
-    for first, second in PAPER_DECLARATIONS[3:]:
+    for first, second in harness.PAPER_DECLARATIONS[3:]:
         session.registry.declare_equivalent(first, second)
     for first, second, code in PAPER_ASSERTION_CODES:
         session.analysis.specify(first, second, code)
@@ -189,82 +117,51 @@ def measure_recovery(root: Path) -> dict:
     schemas = list(session.schemas.values())
     del session  # crash: the tail past the checkpoint lives only in the WAL
 
-    started = time.perf_counter()
-    recovered = ToolSession.open(path)
-    elapsed = time.perf_counter() - started
+    elapsed, recovered = timed(lambda: ToolSession.open(path))
     report = recovered.last_recovery
     return {
         "schemas": schema_sizes(*schemas),
         "events_replayed": report.events_replayed,
         "source": report.source,
-        "seconds": elapsed,
+        "seconds": round(elapsed, 6),
     }
 
 
 def main() -> int:
     synced = measure_wal_append(sync=True)
     framing_only = measure_wal_append(sync=False)
-    baseline = measure_incremental_baseline()
+    baseline = harness.incremental_baseline()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         plain_seconds = measure_paper_sitting(durable=False, root=root)
         durable_seconds = measure_paper_sitting(durable=True, root=root)
         recovery = measure_recovery(root)
 
-    append_ratio = synced["per_commit_seconds"] / max(
-        baseline["seconds"], 1e-12
+    gates = Gates()
+    gates.at_most(
+        "wal_append_overhead",
+        synced["per_commit_seconds"] / max(baseline["seconds"], 1e-12),
+        APPEND_OVERHEAD_CEILING,
     )
-    gates = {
-        "wal_append_overhead": {
-            "ratio": round(append_ratio, 6),
-            "ceiling": APPEND_OVERHEAD_CEILING,
-            "passed": append_ratio <= APPEND_OVERHEAD_CEILING,
-        },
-        "paper_recovery": {
-            "seconds": round(recovery["seconds"], 6),
-            "ceiling_seconds": RECOVERY_CEILING_SECONDS,
-            "passed": recovery["seconds"] <= RECOVERY_CEILING_SECONDS,
-        },
-    }
+    gates.at_most(
+        "paper_recovery", recovery["seconds"], RECOVERY_CEILING_SECONDS
+    )
     report = {
         "description": (
             "WAL + recovery overheads and smoke gates; "
             "see docs/DURABILITY.md and make crash-smoke"
         ),
-        "repro_sha": repo_sha(),
-        "wal_append": {
-            **synced,
-            "per_commit_seconds": round(synced["per_commit_seconds"], 9),
-        },
-        "wal_framing_only": {
-            **framing_only,
-            "per_commit_seconds": round(
-                framing_only["per_commit_seconds"], 9
-            ),
-        },
-        "incremental_baseline": {
-            **baseline,
-            "seconds": round(baseline["seconds"], 6),
-        },
+        "wal_append": synced,
+        "wal_framing_only": framing_only,
+        "incremental_baseline": baseline,
         "paper_sitting": {
             "plain_seconds": round(plain_seconds, 6),
             "durable_seconds": round(durable_seconds, 6),
             "slowdown": round(durable_seconds / max(plain_seconds, 1e-12), 4),
         },
-        "recovery": {
-            **recovery,
-            "seconds": round(recovery["seconds"], 6),
-        },
-        "gates": gates,
+        "recovery": recovery,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-    print(json.dumps(report, indent=2))
-    failed = [name for name, gate in gates.items() if not gate["passed"]]
-    if failed:
-        print(f"GATE FAILURE: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":

@@ -26,31 +26,19 @@ Run:  PYTHONPATH=src python benchmarks/record_evolution.py
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
-import time
-from pathlib import Path
+import harness
+from harness import Gates, component_mapping, component_schema, timed
+from repro.assertions.kinds import AssertionKind
+from repro.baselines import rebuild_matches, rebuild_session
+from repro.data.populate import populate_store
+from repro.ecr.attributes import Attribute
+from repro.ecr.domains import Domain, DomainKind
+from repro.equivalence.session import AnalysisSession
+from repro.evolution import AddAttribute
+from repro.federation import FederationEngine
+from repro.workloads.university import build_expected_figure5
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.assertions.kinds import AssertionKind  # noqa: E402
-from repro.baselines import (  # noqa: E402
-    rebuild_matches,
-    rebuild_session,
-)
-from repro.data.populate import populate_store  # noqa: E402
-from repro.ecr.attributes import Attribute  # noqa: E402
-from repro.ecr.builder import SchemaBuilder  # noqa: E402
-from repro.ecr.domains import Domain, DomainKind  # noqa: E402
-from repro.equivalence.session import AnalysisSession  # noqa: E402
-from repro.evolution import AddAttribute  # noqa: E402
-from repro.federation import FederationEngine  # noqa: E402
-from repro.integration.mappings import SchemaMapping  # noqa: E402
-from repro.workloads.university import build_expected_figure5  # noqa: E402
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_evolution.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_evolution.json"
 
 COMPONENTS = 8
 EDITED_COMPONENT = "comp3"
@@ -58,57 +46,12 @@ EDITED_COMPONENT = "comp3"
 LOCALITY_BUDGET = 0.10
 
 
-def repo_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def build_component(name: str):
-    """An sc1-shaped component schema plus a local-only Course class."""
-    return (
-        SchemaBuilder(name, "evolution benchmark component")
-        .entity("Student", attrs=[("Name", "char", True), ("GPA", "real")])
-        .entity("Department", attrs=[("Name", "char", True)])
-        .entity("Course", attrs=[("CNo", "integer", True)])
-        .relationship(
-            "Majors",
-            connects=[("Student", "(1,1)"), ("Department", "(0,n)")],
-            attrs=[("Since", "date")],
-        )
-        .build()
-    )
-
-
-def build_mapping(name: str, integrated_name: str) -> SchemaMapping:
-    return SchemaMapping(
-        component_schema=name,
-        integrated_schema=integrated_name,
-        objects={
-            "Student": "Student",
-            "Department": "E_Department",
-            "Majors": "E_Stud_Majo",
-        },
-        attributes={
-            ("Student", "Name"): ("Student", "D_Name"),
-            ("Student", "GPA"): ("Student", "D_GPA"),
-            ("Department", "Name"): ("E_Department", "D_Name"),
-            ("Majors", "Since"): ("E_Stud_Majo", "D_Since"),
-        },
-    )
-
-
 def build_world():
     """An 8-component session, its federation engine, and warm plans."""
     names = [f"comp{index}" for index in range(COMPONENTS)]
-    session = AnalysisSession([build_component(name) for name in names])
+    session = AnalysisSession(
+        [component_schema(name, course=True) for name in names]
+    )
     anchor = names[0]
     for other in names[1:]:
         session.declare_equivalent(
@@ -128,7 +71,7 @@ def build_world():
     integrated = build_expected_figure5()
     stores = {
         name: populate_store(
-            build_component(name),
+            component_schema(name, course=True),
             seed=index + 1,
             entities_per_class=10,
             links_per_relationship=10,
@@ -136,7 +79,7 @@ def build_world():
         for index, name in enumerate(names)
     }
     engine = FederationEngine.for_stores(
-        {name: build_mapping(name, integrated.name) for name in names},
+        {name: component_mapping(name, integrated.name) for name in names},
         stores,
         integrated,
         object_network=session.object_network,
@@ -152,8 +95,7 @@ def warm_candidate_pairs(session: AnalysisSession, names: list[str]) -> None:
             session.candidate_pairs(first, second)
 
 
-def main() -> None:
-    failures: list[str] = []
+def main() -> int:
     session, engine, names = build_world()
     planner = engine.planner
 
@@ -163,12 +105,14 @@ def main() -> None:
 
     warm_candidate_pairs(session, names)
     before = session.counters.snapshot()
-    start = time.perf_counter()
-    outcome = session.apply_edit(
-        EDITED_COMPONENT,
-        AddAttribute("Student", Attribute("Audit_note", Domain(DomainKind.CHAR))),
+    repair_seconds, outcome = timed(
+        lambda: session.apply_edit(
+            EDITED_COMPONENT,
+            AddAttribute(
+                "Student", Attribute("Audit_note", Domain(DomainKind.CHAR))
+            ),
+        )
     )
-    repair_seconds = time.perf_counter() - start
     warm_candidate_pairs(session, names)
     after = session.counters.snapshot()
 
@@ -182,43 +126,37 @@ def main() -> None:
         - before["solver_propagation_steps"]
     )
 
-    start = time.perf_counter()
-    rebuilt = rebuild_session(session)
-    warm_candidate_pairs(rebuilt, names)
-    rebuild_seconds = time.perf_counter() - start
+    def rebuild():
+        rebuilt = rebuild_session(session)
+        warm_candidate_pairs(rebuilt, names)
+        return rebuilt
+
+    rebuild_seconds, rebuilt = timed(rebuild)
     full = rebuilt.counters.snapshot()
     full_cells = full["ocs_cells_recomputed"]
     full_steps = (
         full["propagation_steps"] + full["solver_propagation_steps"]
     )
+    ratios = {
+        "ocs_cells": round(repair_cells / max(full_cells, 1), 4),
+        "propagation_steps": round(repair_steps / max(full_steps, 1), 4),
+        "budget": LOCALITY_BUDGET,
+    }
 
-    if repair_cells > LOCALITY_BUDGET * full_cells:
-        failures.append(
-            f"OCS locality: repair recomputed {repair_cells} cells, "
-            f"budget is {LOCALITY_BUDGET:.0%} of {full_cells}"
-        )
-    if repair_steps > LOCALITY_BUDGET * full_steps:
-        failures.append(
-            f"propagation locality: repair did {repair_steps} steps, "
-            f"budget is {LOCALITY_BUDGET:.0%} of {full_steps}"
-        )
-    if planner.last_evolve_invalidated != 1:
-        failures.append(
-            "plan precision: expected exactly the Student plan dropped, "
-            f"planner invalidated {planner.last_evolve_invalidated}"
-        )
-    if planner.cache_size() != plans_before - 1:
-        failures.append(
-            f"plan precision: cache went {plans_before} -> "
-            f"{planner.cache_size()}, expected exactly one plan dropped"
-        )
-
+    gates = Gates()
+    gates.at_most(
+        "ocs_locality", repair_cells / max(full_cells, 1), LOCALITY_BUDGET
+    )
+    gates.at_most(
+        "propagation_locality",
+        repair_steps / max(full_steps, 1),
+        LOCALITY_BUDGET,
+    )
+    # exactly the Student plan is dropped; the E_Department plan survives
+    gates.equal("plans_invalidated", planner.last_evolve_invalidated, 1)
+    gates.equal("plans_dropped", plans_before - planner.cache_size(), 1)
     incremental, from_scratch = rebuild_matches(session)
-    if incremental != from_scratch:
-        failures.append(
-            "rebuild oracle: incremental state diverged from a "
-            "from-scratch rebuild"
-        )
+    gates.holds("rebuild_oracle_matches", incremental == from_scratch)
 
     report = {
         "description": (
@@ -226,7 +164,6 @@ def main() -> None:
             "live plans: repair locality vs. the from-scratch rebuild "
             "oracle and per-class plan invalidation; see docs/EVOLUTION.md"
         ),
-        "repro_sha": repo_sha(),
         "world": {
             "components": COMPONENTS,
             "edited": f"{EDITED_COMPONENT}.Student",
@@ -245,24 +182,10 @@ def main() -> None:
             "propagation_steps": full_steps,
             "seconds": round(rebuild_seconds, 6),
         },
-        "ratios": {
-            "ocs_cells": round(repair_cells / max(full_cells, 1), 4),
-            "propagation_steps": round(
-                repair_steps / max(full_steps, 1), 4
-            ),
-            "budget": LOCALITY_BUDGET,
-        },
-        "gates_failed": failures,
+        "ratios": ratios,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-    print(json.dumps(report, indent=2))
-    if failures:
-        print("EVOLUTION SMOKE FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

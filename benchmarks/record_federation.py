@@ -19,32 +19,24 @@ Run:  PYTHONPATH=src python benchmarks/record_federation.py
 
 from __future__ import annotations
 
-import json
 import statistics
-import subprocess
-import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.assertions.kinds import AssertionKind  # noqa: E402
-from repro.assertions.network import AssertionNetwork  # noqa: E402
-from repro.data.populate import populate_store  # noqa: E402
-from repro.ecr.builder import SchemaBuilder  # noqa: E402
-from repro.ecr.schema import ObjectRef  # noqa: E402
-from repro.federation import (  # noqa: E402
+import harness
+from harness import Gates, component_mapping, component_schema, timed
+from repro.assertions.kinds import AssertionKind
+from repro.assertions.network import AssertionNetwork
+from repro.data.populate import populate_store
+from repro.ecr.schema import ObjectRef
+from repro.federation import (
     ExecutionPolicy,
     FederationEngine,
     FlakyBackend,
     InstanceBackend,
 )
-from repro.integration.mappings import SchemaMapping  # noqa: E402
-from repro.obs.metrics import MetricsRegistry  # noqa: E402
-from repro.workloads.university import build_expected_figure5  # noqa: E402
+from repro.obs.metrics import MetricsRegistry
+from repro.workloads.university import build_expected_figure5
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_federation.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_federation.json"
 
 COMPONENT_COUNTS = [1, 2, 4, 8]
 #: simulated per-call network/processing latency of a remote component
@@ -53,61 +45,16 @@ REQUEST = "select D_Name, D_GPA from Student"
 REPEATS = 5
 
 
-def repo_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def build_component_schema(name: str):
-    """An sc1-shaped component schema under the given name."""
-    return (
-        SchemaBuilder(name, "benchmark component")
-        .entity("Student", attrs=[("Name", "char", True), ("GPA", "real")])
-        .entity("Department", attrs=[("Name", "char", True)])
-        .relationship(
-            "Majors",
-            connects=[("Student", "(1,1)"), ("Department", "(0,n)")],
-            attrs=[("Since", "date")],
-        )
-        .build()
-    )
-
-
-def build_mapping(name: str, integrated_name: str) -> SchemaMapping:
-    """The Figure 5 mapping for one sc1-shaped component."""
-    return SchemaMapping(
-        component_schema=name,
-        integrated_schema=integrated_name,
-        objects={
-            "Student": "Student",
-            "Department": "E_Department",
-            "Majors": "E_Stud_Majo",
-        },
-        attributes={
-            ("Student", "Name"): ("Student", "D_Name"),
-            ("Student", "GPA"): ("Student", "D_GPA"),
-            ("Department", "Name"): ("E_Department", "D_Name"),
-            ("Majors", "Since"): ("E_Stud_Majo", "D_Since"),
-        },
-    )
-
-
 def build_federation(count: int):
     """mappings, stores, and a pairwise-equals network for N components."""
     integrated = build_expected_figure5()
     names = [f"comp{index}" for index in range(count)]
-    mappings = {name: build_mapping(name, integrated.name) for name in names}
+    mappings = {
+        name: component_mapping(name, integrated.name) for name in names
+    }
     stores = {
         name: populate_store(
-            build_component_schema(name),
+            component_schema(name),
             seed=index + 1,
             entities_per_class=25,
             links_per_relationship=25,
@@ -136,15 +83,15 @@ def flaky_backends(stores, latency: float = LATENCY_S):
     }
 
 
-def timed(engine: FederationEngine, repeats: int = REPEATS) -> float:
+def query_seconds(engine: FederationEngine) -> float:
     """Median wall time of one query (plan pre-warmed)."""
     engine.query(REQUEST)  # warm the plan cache and the thread pool path
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        engine.query(REQUEST)
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+    seconds, _ = timed(
+        lambda: engine.query(REQUEST),
+        repeats=REPEATS,
+        reduce=statistics.median,
+    )
+    return seconds
 
 
 def measure_scaling() -> list[dict]:
@@ -164,8 +111,8 @@ def measure_scaling() -> list[dict]:
             integrated,
             object_network=network,
         )
-        seq_s = timed(sequential)
-        conc_s = timed(concurrent)
+        seq_s = query_seconds(sequential)
+        conc_s = query_seconds(concurrent)
         result = concurrent.query(REQUEST)
         rows.append(
             {
@@ -220,9 +167,7 @@ def measure_partial_results() -> dict:
         object_network=network,
         policy=ExecutionPolicy(retries=1, backoff=0.005),
     )
-    start = time.perf_counter()
-    result = engine.query(REQUEST)
-    elapsed = time.perf_counter() - start
+    elapsed, result = timed(lambda: engine.query(REQUEST))
     return {
         "components": 8,
         "down": 1,
@@ -236,43 +181,30 @@ def measure_partial_results() -> dict:
 def main() -> int:
     print("scaling (sequential vs concurrent fan-out):")
     scaling = measure_scaling()
-    print("plan cache:")
     plan_cache = measure_plan_cache()
-    print(f"  hit ratio {plan_cache['hit_ratio']:.2%}")
-    print("partial results under faults:")
+    print(f"plan cache hit ratio {plan_cache['hit_ratio']:.2%}")
     try:
         partial = measure_partial_results()
-        fault_clean = True
-        print(f"  {partial['health']} in {partial['latency_s'] * 1e3:.1f} ms")
     except Exception as exc:  # noqa: BLE001 - the gate reports, then fails
         partial = {"error": f"{type(exc).__name__}: {exc}"}
-        fault_clean = False
-        print(f"  LEAKED: {partial['error']}")
+    print(f"partial results under faults: {partial}")
 
     eight = next(row for row in scaling if row["components"] == 8)
-    checks = {
-        "speedup_8_components_ge_2": eight["speedup"] >= 2.0,
-        "fault_injection_clean": fault_clean
-        and partial.get("degraded") is True
-        and partial.get("rows", 0) > 0,
-    }
+    gates = Gates()
+    gates.at_least("speedup_8_components_ge_2", eight["speedup"], 2.0)
+    gates.holds(
+        "fault_injection_clean",
+        partial.get("degraded") is True and partial.get("rows", 0) > 0,
+    )
     payload = {
-        "sha": repo_sha(),
         "request": REQUEST,
         "latency_model_s": LATENCY_S,
         "repeats": REPEATS,
         "scaling": scaling,
         "plan_cache": plan_cache,
         "partial_results": partial,
-        "checks": checks,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUTPUT.relative_to(REPO_ROOT)}")
-    if not all(checks.values()):
-        failed = [name for name, passed in checks.items() if not passed]
-        print(f"FAILED checks: {', '.join(failed)}")
-        return 1
-    return 0
+    return harness.write_record(OUTPUT, payload, gates)
 
 
 if __name__ == "__main__":

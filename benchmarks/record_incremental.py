@@ -5,65 +5,25 @@ Replays the two instrumented workloads — the EXP-CLO retract comparison
 (``bench_screens_equivalence.py``) — through the incremental engine and
 writes every :class:`~repro.obs.metrics.AnalysisCounters` snapshot,
 plus the incremental-vs-full-rebuild ratios, to ``BENCH_incremental.json``
-at the repository root.
+at the repository root.  It records; it has no gates.
 
 Run:  PYTHONPATH=src python benchmarks/record_incremental.py
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
-import time
-from pathlib import Path
+import harness
+from harness import Gates, schema_sizes, timed
+from repro.assertions.network import AssertionNetwork
+from repro.equivalence.registry import EquivalenceRegistry
+from repro.equivalence.session import AnalysisSession
+from repro.tool.app import run_script
+from repro.tool.session import ToolSession
+from repro.workloads.generator import generate_schema_pair
+from repro.workloads.oracle import OracleDda
+from repro.workloads.university import build_sc1, build_sc2
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.assertions.kinds import Source  # noqa: E402
-from repro.assertions.network import AssertionNetwork  # noqa: E402
-from repro.baselines.closure_baselines import (  # noqa: E402
-    drive_assertions_with_closure,
-)
-from repro.equivalence.registry import EquivalenceRegistry  # noqa: E402
-from repro.equivalence.session import AnalysisSession  # noqa: E402
-from repro.tool.app import run_script  # noqa: E402
-from repro.tool.session import ToolSession  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
-    GeneratorConfig,
-    generate_schema_pair,
-)
-from repro.workloads.oracle import OracleDda  # noqa: E402
-from repro.workloads.university import build_sc1, build_sc2  # noqa: E402
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_incremental.json"
-
-
-def repo_sha() -> str:
-    """The repo's HEAD SHA, or ``unknown`` outside a git checkout."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def schema_sizes(*schemas) -> list[dict]:
-    """Per-schema size metadata: object classes and attribute counts."""
-    return [
-        {
-            "name": schema.name,
-            "object_classes": len(schema),
-            "attributes": schema.attribute_count(),
-        }
-        for schema in schemas
-    ]
+OUTPUT = harness.REPO_ROOT / "BENCH_incremental.json"
 
 SCREENS_SCRIPT = [
     "2", "sc1 sc2",
@@ -77,12 +37,7 @@ SCREENS_SCRIPT = [
 
 def record_closure_retract() -> dict:
     """The EXP-CLO single-retract comparison, incremental vs. rebuild."""
-    pair = generate_schema_pair(
-        GeneratorConfig(seed=17, concepts=16, overlap=0.6, category_rate=0.5)
-    )
-    incremental, _ = drive_assertions_with_closure(
-        pair.first, pair.second, pair.truth
-    )
+    pair, incremental, target = harness.exp_clo_closure()
     baseline = AssertionNetwork(incremental=False)
     for ref in incremental.objects():
         baseline.add_object(ref)
@@ -91,18 +46,14 @@ def record_closure_retract() -> dict:
             assertion.first, assertion.second, assertion.kind,
             assertion.source, assertion.note,
         )
-    specified = [
-        a for a in incremental.specified_assertions() if a.source is Source.DDA
-    ]
-    target = specified[len(specified) // 2]
     incremental.counters.reset()
     baseline.counters.reset()
-    started = time.perf_counter()
-    incremental.retract(target.first, target.second)
-    incremental_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    baseline.retract(target.first, target.second)
-    baseline_seconds = time.perf_counter() - started
+    incremental_seconds, _ = timed(
+        lambda: incremental.retract(target.first, target.second)
+    )
+    baseline_seconds, _ = timed(
+        lambda: baseline.retract(target.first, target.second)
+    )
     steps_ratio = incremental.counters.propagation_steps / max(
         1, baseline.counters.propagation_steps
     )
@@ -119,9 +70,7 @@ def record_closure_retract() -> dict:
 
 def record_ocs_edit() -> dict:
     """One Screen 7 edit against a warmed OCS view vs. a cold rebuild."""
-    pair = generate_schema_pair(
-        GeneratorConfig(seed=17, concepts=16, overlap=0.6, category_rate=0.5)
-    )
+    pair = generate_schema_pair(harness.EXP_CLO)
     registry = EquivalenceRegistry([pair.first, pair.second])
     OracleDda(pair.truth).declare_all_equivalences(registry)
     ocs = registry.ocs(pair.first.name, pair.second.name)
@@ -159,11 +108,8 @@ def record_screens_session() -> dict:
 def record_facade_flow() -> dict:
     """The paper's sc1/sc2 flow via AnalysisSession, end to end."""
     session = AnalysisSession([build_sc1(), build_sc2()])
-    session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
-    session.declare_equivalent("sc1.Student.Name", "sc2.Faculty.Name")
-    session.declare_equivalent("sc1.Student.GPA", "sc2.Grad_student.GPA")
-    session.declare_equivalent("sc1.Department.Name", "sc2.Department.Name")
-    session.declare_equivalent("sc1.Majors.Since", "sc2.Majors.Since")
+    for first, second in harness.PAPER_DECLARATIONS:
+        session.declare_equivalent(first, second)
     session.candidate_pairs("sc1", "sc2")
     session.candidate_pairs("sc1", "sc2")  # second read: served from cache
     session.specify("sc1.Department", "sc2.Department", 1)
@@ -177,22 +123,19 @@ def record_facade_flow() -> dict:
     }
 
 
-def main() -> None:
+def main() -> int:
     report = {
         "description": (
             "Instrumentation counters for the incremental analysis engine; "
             "see docs/API.md and benchmarks/bench_exp_closure.py"
         ),
-        "repro_sha": repo_sha(),
         "closure_retract": record_closure_retract(),
         "ocs_edit": record_ocs_edit(),
         "screens_session": record_screens_session(),
         "facade_flow": record_facade_flow(),
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-    print(json.dumps(report, indent=2))
+    return harness.write_record(OUTPUT, report, Gates())
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -19,58 +19,22 @@ Exits non-zero when a gate fails (the ``make kernel-smoke`` contract).
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
-import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.baselines.closure_baselines import (  # noqa: E402
-    drive_assertions_with_closure,
-)
-from repro.equivalence.session import AnalysisSession  # noqa: E402
-from repro.kernel import EventBus, Kernel  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
-    GeneratorConfig,
-    generate_schema_pair,
-)
-from repro.workloads.university import (  # noqa: E402
+import harness
+from harness import Gates, timed
+from repro.equivalence.session import AnalysisSession
+from repro.kernel import EventBus, Kernel
+from repro.workloads.university import (
     PAPER_ASSERTION_CODES,
     PAPER_RELATIONSHIP_CODES,
     build_sc1,
     build_sc2,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_kernel.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_kernel.json"
 
 BUS_EVENTS = 20_000
 OVERHEAD_CEILING = 0.05  # per-event publish vs. incremental retract
 RESTORE_CEILING_SECONDS = 0.050
-
-PAPER_DECLARATIONS = [
-    ("sc1.Student.Name", "sc2.Grad_student.Name"),
-    ("sc1.Student.Name", "sc2.Faculty.Name"),
-    ("sc1.Student.GPA", "sc2.Grad_student.GPA"),
-    ("sc1.Department.Name", "sc2.Department.Name"),
-    ("sc1.Majors.Since", "sc2.Majors.Since"),
-]
-
-
-def repo_sha() -> str:
-    """The repo's HEAD SHA, or ``unknown`` outside a git checkout."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def measure_bus_overhead() -> dict:
@@ -80,45 +44,24 @@ def measure_bus_overhead() -> dict:
     bus.subscribe(lambda event: invalidations.append(event.offset))
     bus.subscribe(lambda event: None, live_only=True)  # the audit tap shape
     payload = {"first": "sc1.Student.Name", "second": "sc2.Grad_student.Name"}
-    started = time.perf_counter()
-    for _ in range(BUS_EVENTS):
-        bus.publish("registry", "declare_equivalent", payload)
-    elapsed = time.perf_counter() - started
+
+    def publish_all() -> None:
+        for _ in range(BUS_EVENTS):
+            bus.publish("registry", "declare_equivalent", payload)
+
+    elapsed, _ = timed(publish_all)
     return {
         "events": BUS_EVENTS,
         "total_seconds": round(elapsed, 6),
-        "per_event_seconds": elapsed / BUS_EVENTS,
+        "per_event_seconds": round(elapsed / BUS_EVENTS, 9),
         "subscribers": 2,
-    }
-
-
-def measure_incremental_baseline() -> dict:
-    """One incremental retract on the EXP-CLO workload (the PR-1 baseline)."""
-    from repro.assertions.kinds import Source
-
-    pair = generate_schema_pair(
-        GeneratorConfig(seed=17, concepts=16, overlap=0.6, category_rate=0.5)
-    )
-    network, _ = drive_assertions_with_closure(
-        pair.first, pair.second, pair.truth
-    )
-    specified = [
-        a for a in network.specified_assertions() if a.source is Source.DDA
-    ]
-    target = specified[len(specified) // 2]
-    started = time.perf_counter()
-    network.retract(target.first, target.second)
-    elapsed = time.perf_counter() - started
-    return {
-        "workload": "bench_exp_closure (concepts=16, one retract)",
-        "seconds": elapsed,
     }
 
 
 def build_paper_world() -> AnalysisSession:
     """The paper's sc1/sc2 sitting, driven end to end through the kernel."""
     session = AnalysisSession([build_sc1(), build_sc2()])
-    for first, second in PAPER_DECLARATIONS:
+    for first, second in harness.PAPER_DECLARATIONS:
         session.declare_equivalent(first, second)
     for first, second, code in PAPER_ASSERTION_CODES:
         session.specify(first, second, code)
@@ -133,66 +76,44 @@ def measure_snapshot_restore() -> dict:
     session = build_paper_world()
     session.kernel.snapshot()
     state = session.kernel.export_state()
-    started = time.perf_counter()
-    kernel = Kernel.restore(state)
-    AnalysisSession(kernel=kernel)
-    kernel.checkout(state["head"])
-    elapsed = time.perf_counter() - started
+
+    def restore() -> None:
+        kernel = Kernel.restore(state)
+        AnalysisSession(kernel=kernel)
+        kernel.checkout(state["head"])
+
+    elapsed, _ = timed(restore)
     return {
         "events": len(state["events"]),
         "snapshots": len(state["snapshots"]),
-        "seconds": elapsed,
+        "seconds": round(elapsed, 6),
     }
 
 
 def main() -> int:
     bus = measure_bus_overhead()
-    baseline = measure_incremental_baseline()
+    baseline = harness.incremental_baseline()
     restore = measure_snapshot_restore()
 
-    overhead_ratio = bus["per_event_seconds"] / max(
-        baseline["seconds"], 1e-12
+    gates = Gates()
+    gates.at_most(
+        "bus_overhead",
+        bus["per_event_seconds"] / max(baseline["seconds"], 1e-12),
+        OVERHEAD_CEILING,
     )
-    gates = {
-        "bus_overhead": {
-            "ratio": round(overhead_ratio, 6),
-            "ceiling": OVERHEAD_CEILING,
-            "passed": overhead_ratio <= OVERHEAD_CEILING,
-        },
-        "snapshot_restore": {
-            "seconds": round(restore["seconds"], 6),
-            "ceiling_seconds": RESTORE_CEILING_SECONDS,
-            "passed": restore["seconds"] <= RESTORE_CEILING_SECONDS,
-        },
-    }
+    gates.at_most(
+        "snapshot_restore", restore["seconds"], RESTORE_CEILING_SECONDS
+    )
     report = {
         "description": (
             "Event-sourced kernel overheads and smoke gates; "
             "see docs/ARCHITECTURE.md and make kernel-smoke"
         ),
-        "repro_sha": repo_sha(),
-        "bus_publish": {
-            **bus,
-            "per_event_seconds": round(bus["per_event_seconds"], 9),
-        },
-        "incremental_baseline": {
-            **baseline,
-            "seconds": round(baseline["seconds"], 6),
-        },
-        "snapshot_restore": {
-            **restore,
-            "seconds": round(restore["seconds"], 6),
-        },
-        "gates": gates,
+        "bus_publish": bus,
+        "incremental_baseline": baseline,
+        "snapshot_restore": restore,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-    print(json.dumps(report, indent=2))
-    failed = [name for name, gate in gates.items() if not gate["passed"]]
-    if failed:
-        print(f"GATE FAILURE: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":

@@ -17,34 +17,23 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import time
 import timeit
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import harness
+from harness import Gates, HttpClient, Service, SseStream, schema_sizes, timed
+from repro.ecr.ddl import to_ddl
+from repro.equivalence.session import AnalysisSession
+from repro.obs.report import render_text, summarize
+from repro.obs.trace import Tracer, span, tracing
+from repro.tool.app import run_script
+from repro.tool.session import ToolSession
+from repro.workloads.generator import generate_schema_pair
+from repro.workloads.oracle import OracleDda
+from repro.workloads.university import build_sc1, build_sc2
 
-from repro.assertions.kinds import Source  # noqa: E402
-from repro.baselines.closure_baselines import (  # noqa: E402
-    drive_assertions_with_closure,
-)
-from repro.ecr.ddl import to_ddl  # noqa: E402
-from repro.equivalence.session import AnalysisSession  # noqa: E402
-from repro.obs.report import render_text, summarize  # noqa: E402
-from repro.obs.trace import Tracer, span, tracing  # noqa: E402
-from repro.tool.app import run_script  # noqa: E402
-from repro.tool.session import ToolSession  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
-    GeneratorConfig,
-    generate_schema_pair,
-)
-from repro.workloads.oracle import OracleDda  # noqa: E402
-from repro.workloads.university import build_sc1, build_sc2  # noqa: E402
-
-from record_incremental import repo_sha, schema_sizes  # noqa: E402
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
-
-CONFIG = GeneratorConfig(seed=17, concepts=16, overlap=0.6, category_rate=0.5)
+OUTPUT = harness.REPO_ROOT / "BENCH_obs.json"
 
 #: Every instrumented phase; the smoke run fails if any emits zero spans.
 SMOKE_PHASES = ("phase1", "phase2", "phase3", "phase4", "tool")
@@ -58,24 +47,17 @@ SCREENS_SCRIPT = [
 ]
 
 
-def run_workload() -> AnalysisSession:
+def run_workload() -> None:
     """One full pass over every instrumented surface.
 
     The EXP-CLO part exercises phases 1-3 at benchmark scale; the sc1/sc2
     tail covers the tool screens and a phase-4 integration.
     """
-    pair = generate_schema_pair(CONFIG)
+    pair, network, target = harness.exp_clo_closure()
     session = AnalysisSession([pair.first, pair.second])
     OracleDda(pair.truth).declare_all_equivalences(session.registry)
     session.acs(pair.first.name, pair.second.name).equivalent_pairs()
     session.candidate_pairs(pair.first.name, pair.second.name)
-    network, _ = drive_assertions_with_closure(
-        pair.first, pair.second, pair.truth
-    )
-    specified = [
-        a for a in network.specified_assertions() if a.source is Source.DDA
-    ]
-    target = specified[len(specified) // 2]
     network.retract(target.first, target.second)
     network.specify(target.first, target.second, target.kind)
 
@@ -88,23 +70,12 @@ def run_workload() -> AnalysisSession:
     tool.analysis.specify("sc1.Student", "sc2.Grad_student", 3)
     tool.analysis.specify("sc1.Majors", "sc2.Majors", 1, relationships=True)
     tool.analysis.integrate("sc1", "sc2")
-    session._exp_clo_pair = pair  # stashed for metadata reporting
-    return session
 
 
-def time_workload(repeats: int, traced: bool) -> tuple[float, "Tracer | None"]:
-    """Best-of-``repeats`` wall time; returns the last tracer when traced."""
-    best = float("inf")
-    tracer = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        if traced:
-            with tracing() as tracer:
-                run_workload()
-        else:
-            run_workload()
-        best = min(best, time.perf_counter() - started)
-    return best, tracer
+def traced_workload() -> Tracer:
+    with tracing() as tracer:
+        run_workload()
+    return tracer
 
 
 def disabled_span_cost_ns() -> float:
@@ -114,160 +85,6 @@ def disabled_span_cost_ns() -> float:
         lambda: span("phase2.ocs.recompute"), number=iterations
     )
     return seconds / iterations * 1e9
-
-
-class _BenchServer:
-    """A real service process (``python -m repro.service``) on a free port.
-
-    Subprocess isolation matters here: three servers sharing one
-    interpreter contend on the GIL and smear each other's timings.
-    """
-
-    def __init__(self, root: str, *, telemetry: bool) -> None:
-        import os
-        import socket
-        import subprocess
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            self.port = probe.getsockname()[1]
-        argv = [
-            sys.executable, "-m", "repro.service",
-            "--root", root,
-            "--port", str(self.port),
-            "--token", "bench:tok",
-            "--log-level", "warning",
-        ]
-        if not telemetry:
-            argv.append("--no-telemetry")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(Path(__file__).resolve().parent.parent / "src")
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        )
-        self.proc = subprocess.Popen(
-            argv,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        deadline = time.time() + 30
-        while True:
-            try:
-                client = _BenchClient(self.port)
-                status, _ = client.request("GET", "/v1/healthz")
-                client.close()
-                if status == 200:
-                    return
-            except OSError:
-                pass
-            if self.proc.poll() is not None:
-                raise RuntimeError("bench server exited during startup")
-            if time.time() > deadline:
-                self.stop()
-                raise RuntimeError("bench server never became ready")
-            time.sleep(0.05)
-
-    def stop(self) -> None:
-        self.proc.terminate()
-        try:
-            self.proc.wait(timeout=30)
-        except Exception:
-            self.proc.kill()
-            self.proc.wait(timeout=30)
-
-
-class _SseDrain:
-    """A live spans-stream consumer: opens the SSE socket, drains it."""
-
-    def __init__(self, port: int, sid: str) -> None:
-        import socket
-        import threading
-
-        self.sock = socket.create_connection(
-            ("127.0.0.1", port), timeout=30
-        )
-        self.sock.sendall(
-            (
-                f"GET /v1/sessions/{sid}/spans/stream"
-                "?timeout_s=600&idle_s=600 HTTP/1.1\r\n"
-                "host: bench\r\nauthorization: Bearer tok\r\n\r\n"
-            ).encode("latin-1")
-        )
-        self._opened = threading.Event()
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
-        if not self._opened.wait(timeout=30):
-            raise RuntimeError("spans stream never opened")
-
-    def _drain(self) -> None:
-        seen = b""
-        try:
-            while True:
-                chunk = self.sock.recv(65536)
-                if not chunk:
-                    return
-                if not self._opened.is_set():
-                    seen += chunk
-                    if b": stream open" in seen:
-                        self._opened.set()
-        except OSError:
-            return
-
-    def close(self) -> None:
-        self.sock.close()
-        self._thread.join(timeout=10)
-
-
-class _BenchClient:
-    """One keep-alive HTTP/1.1 connection to a served bench app."""
-
-
-class _BenchClient:
-    """One keep-alive HTTP/1.1 connection to a served bench app."""
-
-    def __init__(self, port: int) -> None:
-        import socket
-
-        self.sock = socket.create_connection(
-            ("127.0.0.1", port), timeout=30
-        )
-        self.buffer = b""
-
-    def request(
-        self, method: str, path: str, body: dict | None = None
-    ) -> tuple[int, bytes]:
-        payload = (
-            json.dumps(body).encode("utf-8") if body is not None else b""
-        )
-        head = [
-            f"{method} {path} HTTP/1.1",
-            "host: bench",
-            "authorization: Bearer tok",
-        ]
-        if payload:
-            head.append(f"content-length: {len(payload)}")
-        self.sock.sendall(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
-        )
-        while b"\r\n\r\n" not in self.buffer:
-            self.buffer += self.sock.recv(65536)
-        raw_head, _, self.buffer = self.buffer.partition(b"\r\n\r\n")
-        status = int(raw_head.split()[1])
-        length = 0
-        for line in raw_head.split(b"\r\n")[1:]:
-            name, _, value = line.partition(b":")
-            if name.strip().lower() == b"content-length":
-                length = int(value)
-        while len(self.buffer) < length:
-            self.buffer += self.sock.recv(65536)
-        body_bytes = self.buffer[:length]
-        self.buffer = self.buffer[length:]
-        return status, body_bytes
-
-    def close(self) -> None:
-        self.sock.close()
 
 
 #: the bench mix: (kind, method, path template, body, weight per pass)
@@ -398,17 +215,25 @@ def telemetry_overhead(repeats: int = 10, requests: int = 75) -> dict:
     servers, clients = {}, {}
     try:
         for arm, root in zip(arms, roots):
-            servers[arm] = _BenchServer(
-                root.name, telemetry=arm != "disabled"
+            servers[arm] = Service(
+                root.name,
+                {"tok": "bench"},
+                process=True,
+                telemetry=arm != "disabled",
             )
-            clients[arm] = _BenchClient(servers[arm].port)
+            clients[arm] = HttpClient(servers[arm].port, "tok")
         for attempt in range(repeats):
             sids = {arm: f"{arm[0]}{attempt}" for arm in arms}
             for arm in arms:
                 seed(clients[arm], sids[arm])
             # a live SSE consumer: every span pays serialise, hub
             # fan-out and the server's socket writes
-            drain = _SseDrain(servers["streaming"].port, sids["streaming"])
+            drain = SseStream(
+                servers["streaming"].port,
+                f"/v1/sessions/{sids['streaming']}/spans/stream"
+                "?timeout_s=600&idle_s=600",
+                "tok",
+            )
             block = {arm: {} for arm in arms}
             try:
                 run_round(arms, clients, sids, block)
@@ -478,46 +303,40 @@ def missing_phases(tracer: Tracer) -> list[str]:
     return [phase for phase in SMOKE_PHASES if phase not in present]
 
 
-def smoke() -> int:
-    with tracing() as tracer:
-        run_workload()
-    print(render_text(summarize(tracer)))
-    missing = missing_phases(tracer)
-    if missing:
-        print(
-            "trace-smoke FAILED: no spans from "
-            + ", ".join(missing),
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"trace-smoke OK: {len(tracer.spans)} spans across "
-        f"{len(SMOKE_PHASES)} instrumented phases"
-    )
-    return 0
-
-
 def main(argv: list[str]) -> int:
+    gates = Gates()
     if "--smoke" in argv:
-        return smoke()
+        tracer = traced_workload()
+        print(render_text(summarize(tracer)))
+        print(f"{len(tracer.spans)} spans recorded")
+        gates.equal("phases_without_spans", len(missing_phases(tracer)), 0)
+        return gates.verdict("trace-smoke")
     repeats = 5
-    disabled_seconds, _ = time_workload(repeats, traced=False)
-    enabled_seconds, tracer = time_workload(repeats, traced=True)
+    disabled_seconds, _ = timed(run_workload, repeats=repeats)
+    enabled_seconds, tracer = timed(traced_workload, repeats=repeats)
     overhead_ratio = enabled_seconds / disabled_seconds - 1.0
     telemetry = telemetry_overhead()
-    pair = generate_schema_pair(CONFIG)
+    pair = generate_schema_pair(harness.EXP_CLO)
+    gates.equal("phases_without_spans", len(missing_phases(tracer)), 0)
+    gates.at_most(
+        "telemetry_overhead", telemetry["overhead_ratio"], TELEMETRY_BUDGET
+    )
+    gates.at_most(
+        "streaming_overhead",
+        telemetry["streaming_overhead_ratio"],
+        STREAMING_BUDGET,
+    )
     report = {
         "description": (
             "Tracing overhead on the EXP-CLO workload plus the sc1/sc2 "
             "integration; see docs/OBSERVABILITY.md"
         ),
-        "repro_sha": repo_sha(),
         "workload": {
             "generator": {
-                "seed": CONFIG.seed,
-                "concepts": CONFIG.concepts,
-                "overlap": CONFIG.overlap,
-                "category_rate": CONFIG.category_rate,
+                "seed": harness.EXP_CLO.seed,
+                "concepts": harness.EXP_CLO.concepts,
+                "overlap": harness.EXP_CLO.overlap,
+                "category_rate": harness.EXP_CLO.category_rate,
             },
             "schemas": schema_sizes(
                 pair.first, pair.second, build_sc1(), build_sc2()
@@ -533,46 +352,18 @@ def main(argv: list[str]) -> int:
         "telemetry": telemetry,
         "summary": summarize(tracer),
     }
-    existing = (
-        json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
-    )
-    if "telemetry_smoke" in existing:
-        # keep the live-server smoke record (telemetry_smoke.py owns it)
-        report["telemetry_smoke"] = existing["telemetry_smoke"]
-    OUTPUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUTPUT}")
+    # keep the live-server smoke record (telemetry_smoke.py owns it)
+    if OUTPUT.exists():
+        previous = json.loads(OUTPUT.read_text())
+        if "telemetry_smoke" in previous:
+            report["telemetry_smoke"] = previous["telemetry_smoke"]
     print(
         f"disabled {disabled_seconds * 1e3:.1f} ms, "
         f"enabled {enabled_seconds * 1e3:.1f} ms, "
         f"overhead {overhead_ratio:+.1%}, "
         f"disabled span() {report['disabled_span_call_ns']:.0f} ns"
     )
-    print(
-        "telemetry plane (per served request, paired medians): "
-        f"enabled {telemetry['overhead_ratio']:+.1%} "
-        f"(budget {TELEMETRY_BUDGET:.0%}), "
-        f"streaming {telemetry['streaming_overhead_ratio']:+.1%} "
-        f"(tripwire {STREAMING_BUDGET:.0%})"
-    )
-    failed = []
-    if telemetry["overhead_ratio"] > TELEMETRY_BUDGET:
-        failed.append(
-            f"steady-state plane {telemetry['overhead_ratio']:+.1%} "
-            f"exceeds the {TELEMETRY_BUDGET:.0%} budget"
-        )
-    if telemetry["streaming_overhead_ratio"] > STREAMING_BUDGET:
-        failed.append(
-            "live spans streaming "
-            f"{telemetry['streaming_overhead_ratio']:+.1%} exceeds the "
-            f"{STREAMING_BUDGET:.0%} tripwire"
-        )
-    if failed:
-        print(
-            "telemetry overhead gate FAILED: " + "; ".join(failed),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":

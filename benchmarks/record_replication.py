@@ -27,18 +27,16 @@ import argparse
 import json
 import random
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro import faults  # noqa: E402
-from repro.errors import ReproError  # noqa: E402
-from repro.faults import FaultPlan, InjectedCrash  # noqa: E402
-from repro.replication import (  # noqa: E402
+import harness
+from harness import SC1_DDL, SC2_DDL, Gates, percentile
+from repro import faults
+from repro.errors import ReproError
+from repro.faults import FaultPlan, InjectedCrash
+from repro.replication import (
     ReplicaApplier,
     payload_fingerprint,
     ShipCursor,
@@ -47,14 +45,13 @@ from repro.replication import (  # noqa: E402
     decode_frames,
     encode_frames,
 )
-from repro.service import Request, ServiceApp, TenantAuth  # noqa: E402
-from repro.service.replication import InProcessLeaderLink  # noqa: E402
-from repro.tool.session import ToolSession  # noqa: E402
-from repro.workloads import TrafficConfig, service_traffic  # noqa: E402
-from repro.workloads.university import build_sc1, build_sc2  # noqa: E402
+from repro.service import Request, ServiceApp, TenantAuth
+from repro.service.replication import InProcessLeaderLink
+from repro.tool.session import ToolSession
+from repro.workloads import TrafficConfig, service_traffic
+from repro.workloads.university import build_sc1, build_sc2
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_replication.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_replication.json"
 
 LAG_P99_CEILING_SECONDS = 0.25
 PROMOTION_CEILING_SECONDS = 1.0
@@ -67,41 +64,6 @@ OPERATIONS_SMOKE = 40
 READ_FRACTION = 0.7
 CHAOS_EVENTS_FULL = 500
 CHAOS_EVENTS_SMOKE = 120
-
-SC1_DDL = """\
-schema sc1
-entity Student
-  attr Name : string key
-  attr GPA : real
-entity Department
-  attr Name : string key
-relationship Majors
-  connects Student (1,1)
-  connects Department (0,n)
-"""
-
-SC2_DDL = """\
-schema sc2
-entity Grad_student
-  attr Name : string key
-  attr Advisor : string
-entity Department
-  attr Name : string key
-"""
-
-
-def repo_sha() -> str:
-    """The repo's HEAD SHA, or ``unknown`` outside a git checkout."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 class Client:
@@ -128,14 +90,6 @@ class Client:
             )
         )
         return response.status, response.json_payload()
-
-
-def percentile(values: list[float], fraction: float) -> float:
-    ordered = sorted(values)
-    index = min(
-        len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1)))
-    )
-    return ordered[index]
 
 
 def wait_for_state(replica: Client, sid: str, state_fingerprint: str,
@@ -389,38 +343,29 @@ def main(argv: list[str] | None = None) -> int:
 
     lags = service["lag_samples"]
     lag_p99 = percentile(lags, 0.99)
-    gates = {
-        "steady_state_lag_p99": {
-            "seconds": round(lag_p99, 6),
-            "ceiling_seconds": LAG_P99_CEILING_SECONDS,
-            "passed": lag_p99 <= LAG_P99_CEILING_SECONDS,
-        },
-        "promotion_to_first_read": {
-            "seconds": round(service["promotion_seconds"], 6),
-            "ceiling_seconds": PROMOTION_CEILING_SECONDS,
-            "passed": (
-                service["promotion_seconds"] <= PROMOTION_CEILING_SECONDS
-                and service["writable_after_promotion"]
-                and service["old_leader_fenced"]
-                and service["fingerprint_preserved"]
-            ),
-        },
-        "chaos_divergence": {
-            "events": chaos["events"],
-            "divergent_fingerprints": chaos["divergent_fingerprints"],
-            "passed": (
-                chaos["divergent_fingerprints"] == 0
-                and chaos["converged_after_faults"]
-                and not service["read_failures"]
-            ),
-        },
-    }
+    for message in service["read_failures"][:10]:
+        print(f"FAILED REPLICA READ: {message}")
+    gates = Gates()
+    gates.at_most("steady_state_lag_p99", lag_p99, LAG_P99_CEILING_SECONDS)
+    gates.at_most(
+        "promotion_to_first_read",
+        service["promotion_seconds"],
+        PROMOTION_CEILING_SECONDS,
+    )
+    for name in (
+        "writable_after_promotion",
+        "old_leader_fenced",
+        "fingerprint_preserved",
+    ):
+        gates.holds(name, service[name])
+    gates.equal("chaos_divergence", chaos["divergent_fingerprints"], 0)
+    gates.holds("chaos_converged", chaos["converged_after_faults"])
+    gates.equal("replica_read_failures", len(service["read_failures"]), 0)
     report = {
         "description": (
             "WAL-shipped replica lag, failover and chaos convergence; "
             "see docs/REPLICATION.md and make replica-smoke"
         ),
-        "repro_sha": repo_sha(),
         "smoke": args.smoke,
         "traffic": {
             "operations": operations,
@@ -449,18 +394,8 @@ def main(argv: list[str] | None = None) -> int:
             ],
         },
         "chaos": chaos,
-        "gates": gates,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-    print(json.dumps(report, indent=2))
-    for message in service["read_failures"][:10]:
-        print(f"FAILED REPLICA READ: {message}", file=sys.stderr)
-    failed = [name for name, gate in gates.items() if not gate["passed"]]
-    if failed:
-        print(f"GATE FAILURE: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":

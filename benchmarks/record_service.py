@@ -28,25 +28,16 @@ Exits non-zero when a gate fails.
 from __future__ import annotations
 
 import argparse
-import asyncio
-import http.client
-import json
-import socket
 import statistics
-import subprocess
-import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import harness
+from harness import SC1_DDL, SC2_DDL, Gates, HttpClient, Service, percentile
 
-from repro.service import ServiceApp, TenantAuth  # noqa: E402
-from repro.service.app import serve  # noqa: E402
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_service.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_service.json"
 
 TENANTS = 20
 MAX_RESIDENT = 6  # far below TENANTS: every round churns the pool
@@ -55,125 +46,21 @@ ROUNDS_SMOKE = 2
 MIN_SUSTAINED_TENANTS = 16
 P99_CEILING_SECONDS = 0.75
 
-SC1_DDL = """\
-schema sc1
-entity Student
-  attr Name : string key
-  attr GPA : real
-entity Department
-  attr Name : string key
-relationship Majors
-  connects Student (1,1)
-  connects Department (0,n)
-"""
 
-SC2_DDL = """\
-schema sc2
-entity Grad_student
-  attr Name : string key
-  attr Advisor : string
-entity Department
-  attr Name : string key
-"""
-
-
-def repo_sha() -> str:
-    """The repo's HEAD SHA, or ``unknown`` outside a git checkout."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-class Server:
-    """The real service on an ephemeral loopback port, in a thread."""
-
-    def __init__(self, root: Path, tokens: dict[str, str]) -> None:
-        self.app = ServiceApp(
-            root,
-            auth=TenantAuth.from_tokens(tokens),
-            max_resident=MAX_RESIDENT,
-        )
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            self.port = probe.getsockname()[1]
-        self._loop = asyncio.new_event_loop()
-        self._task: asyncio.Task | None = None
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        async def main() -> None:
-            ready = asyncio.Event()
-            self._task = asyncio.ensure_future(
-                serve(
-                    self.app,
-                    "127.0.0.1",
-                    self.port,
-                    executor_workers=TENANTS,
-                    ready=ready,
-                )
-            )
-            await ready.wait()
-            self._started.set()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-
-        self._loop.run_until_complete(main())
-
-    def __enter__(self) -> "Server":
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("service did not start")
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._loop.call_soon_threadsafe(self._task.cancel)
-        self._thread.join(timeout=30)
-        self._loop.close()
-        self.app.close()
-
-
-class TenantClient:
+class TenantClient(HttpClient):
     """One tenant's keep-alive connection; records every request latency."""
 
     def __init__(self, port: int, token: str) -> None:
-        self.connection = http.client.HTTPConnection(
-            "127.0.0.1", port, timeout=30
-        )
-        self.token = token
+        super().__init__(port, token)
         self.latencies: list[float] = []
         self.failures: list[str] = []
 
-    def call(
-        self, method: str, path: str, body: dict | None = None
-    ) -> dict | None:
-        payload = json.dumps(body).encode() if body is not None else None
-        headers = {"Authorization": f"Bearer {self.token}"}
-        if payload:
-            headers["Content-Length"] = str(len(payload))
+    def call(self, method: str, path: str, body: dict | None = None) -> None:
         start = time.perf_counter()
-        self.connection.request(method, path, payload, headers)
-        response = self.connection.getresponse()
-        data = response.read()
+        status, data = self.request(method, path, body)
         self.latencies.append(time.perf_counter() - start)
-        if response.status >= 400:
-            self.failures.append(
-                f"{method} {path} -> {response.status} {data[:200]!r}"
-            )
-            return None
-        return json.loads(data) if data else None
-
-    def close(self) -> None:
-        self.connection.close()
+        if status >= 400:
+            self.failures.append(f"{method} {path} -> {status} {data[:200]!r}")
 
 
 def tenant_workload(client: TenantClient, tenant: str, rounds: int) -> None:
@@ -224,14 +111,6 @@ def tenant_workload(client: TenantClient, tenant: str, rounds: int) -> None:
     client.call("GET", "/v1/stats")
 
 
-def percentile(values: list[float], fraction: float) -> float:
-    ordered = sorted(values)
-    index = min(
-        len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1)))
-    )
-    return ordered[index]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -244,7 +123,12 @@ def main(argv: list[str] | None = None) -> int:
 
     tokens = {f"token-{i}": f"tenant{i:02d}" for i in range(TENANTS)}
     with tempfile.TemporaryDirectory() as tmp:
-        with Server(Path(tmp), tokens) as server:
+        with Service(
+            Path(tmp),
+            tokens,
+            max_resident=MAX_RESIDENT,
+            executor_workers=TENANTS,
+        ) as server:
             clients = [
                 TenantClient(server.port, token) for token in tokens
             ]
@@ -275,30 +159,22 @@ def main(argv: list[str] | None = None) -> int:
     )
     sessions_per_gb = int((1 << 30) / max(bytes_per_session, 1))
     p99 = percentile(latencies, 0.99)
+    for message in failures[:10]:
+        print(f"FAILED REQUEST: {message}")
 
-    gates = {
-        "sustained_tenants": {
-            "count": sustained,
-            "floor": MIN_SUSTAINED_TENANTS,
-            "passed": sustained >= MIN_SUSTAINED_TENANTS and not failures,
-        },
-        "eviction_churn": {
-            "evictions": stats.evictions,
-            "rehydrations": stats.rehydrations,
-            "passed": stats.evictions >= 1 and stats.rehydrations >= 1,
-        },
-        "p99_latency": {
-            "seconds": round(p99, 6),
-            "ceiling_seconds": P99_CEILING_SECONDS,
-            "passed": p99 <= P99_CEILING_SECONDS,
-        },
-    }
+    gates = Gates()
+    gates.at_least("sustained_tenants", sustained, MIN_SUSTAINED_TENANTS)
+    gates.equal("failed_requests", len(failures), 0)
+    # the run proves nothing about parking unless both directions happened
+    gates.at_least(
+        "eviction_churn", min(stats.evictions, stats.rehydrations), 1
+    )
+    gates.at_most("p99_latency", p99, P99_CEILING_SECONDS)
     report = {
         "description": (
             "multi-tenant service lifecycle over the real asyncio server; "
             "see docs/SERVICE.md and make service-smoke"
         ),
-        "repro_sha": repo_sha(),
         "smoke": args.smoke,
         "tenants": TENANTS,
         "rounds_per_tenant": rounds,
@@ -327,19 +203,8 @@ def main(argv: list[str] | None = None) -> int:
             "approx_bytes_per_session": int(bytes_per_session),
             "sessions_per_gb": sessions_per_gb,
         },
-        "gates": gates,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-    print(json.dumps(report, indent=2))
-    if failures:
-        for message in failures[:10]:
-            print(f"FAILED REQUEST: {message}", file=sys.stderr)
-    failed = [name for name, gate in gates.items() if not gate["passed"]]
-    if failed:
-        print(f"GATE FAILURE: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":

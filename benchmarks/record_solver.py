@@ -3,10 +3,13 @@
 Three instrumented comparisons, each with a hard gate (non-zero exit on
 failure, so ``make solver-smoke`` can enforce them in CI):
 
-* **fixpoint parity** — on conflict-free generated workloads the
-  solver's derived assertions and narrowed feasible sets must equal the
-  incremental network's, while its adjacency-restricted worklist does
-  no more triangle revisions than the oracle's propagation;
+* **fixpoint parity** — on conflict-free generated workloads (with
+  categories, whose implicit containments are prepended to the truth
+  facts so the closure has triangles to derive) the solver's derived
+  assertions and narrowed feasible sets must equal the incremental
+  network's, every world must derive at least one assertion, and the
+  adjacency-restricted worklist does no more triangle revisions than
+  the oracle's propagation;
 * **conflict detection** — on conflict-seeded workloads
   (``repro.workloads.conflict_seeded_config``) every planted
   contradiction must raise :class:`~repro.errors.ConsistencyFailure`
@@ -21,54 +24,32 @@ Run:  PYTHONPATH=src python benchmarks/record_solver.py
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
-import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.assertions.assertion import Assertion  # noqa: E402
-from repro.assertions.kinds import AssertionKind  # noqa: E402
-from repro.baselines import (  # noqa: E402
-    closure_oracle,
-    derived_keys,
-    objects_of,
-)
-from repro.equivalence.session import AnalysisSession  # noqa: E402
-from repro.errors import ConsistencyFailure  # noqa: E402
-from repro.obs.metrics import AnalysisCounters  # noqa: E402
-from repro.solver import ConstraintSolver, verify_conflict  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
+import harness
+from harness import Gates, timed
+from repro.assertions.assertion import Assertion
+from repro.assertions.kinds import AssertionKind
+from repro.assertions.network import AssertionNetwork
+from repro.baselines import closure_oracle, derived_keys, objects_of
+from repro.equivalence.session import AnalysisSession
+from repro.errors import ConsistencyFailure
+from repro.obs.metrics import AnalysisCounters
+from repro.solver import ConstraintSolver, verify_conflict
+from repro.workloads.generator import (
     GeneratorConfig,
     conflict_seeded_config,
     generate_schema_pair,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_solver.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_solver.json"
 
-#: conflict-free parity worlds: (seed, concepts, overlap)
+#: conflict-free parity worlds: (seed, concepts, overlap); generated with
+#: categories so the implicit category facts give the closure triangles
 PARITY_WORLDS = [(11, 10, 0.5), (23, 14, 0.7), (42, 18, 1.0)]
+PARITY_CATEGORY_RATE = 0.5
 #: conflict-seeded worlds: (seed, contradictions)
 CONFLICT_WORLDS = [(0, 2), (1, 2), (2, 3), (3, 1)]
 #: suggestion-recall seeds (conflict-free, dense equivalences)
 SUGGESTION_SEEDS = [0, 1, 2, 3, 4]
-
-
-def repo_sha() -> str:
-    """The repo's HEAD SHA, or ``unknown`` outside a git checkout."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def truth_facts(pair) -> list[Assertion]:
@@ -78,47 +59,74 @@ def truth_facts(pair) -> list[Assertion]:
     ]
 
 
-def record_fixpoint_parity() -> tuple[dict, list[str]]:
-    failures: list[str] = []
+def implicit_facts(pair) -> list[Assertion]:
+    """Each schema's own category containments (no DDA input needed)."""
+    network = AssertionNetwork()
+    return network.seed_schema(pair.first) + network.seed_schema(pair.second)
+
+
+def record_fixpoint_parity(gates: Gates) -> dict:
     runs = []
     for seed, concepts, overlap in PARITY_WORLDS:
         pair = generate_schema_pair(
-            GeneratorConfig(seed=seed, concepts=concepts, overlap=overlap)
+            GeneratorConfig(
+                seed=seed,
+                concepts=concepts,
+                overlap=overlap,
+                category_rate=PARITY_CATEGORY_RATE,
+            )
         )
-        facts = truth_facts(pair)
+        facts = implicit_facts(pair) + truth_facts(pair)
         counters = AnalysisCounters()
-        start = time.perf_counter()
-        solution = ConstraintSolver(facts, counters=counters).solve()
-        solver_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        oracle = closure_oracle(objects_of(facts), facts)
-        oracle_seconds = time.perf_counter() - start
-        label = f"seed={seed} concepts={concepts} overlap={overlap}"
-        if not oracle.consistent:
-            failures.append(f"parity {label}: oracle rejected true facts")
-        if derived_keys(
-            {a.pair: a for a in solution.derived}
-        ) != derived_keys(oracle.derived):
-            failures.append(f"parity {label}: derived sets diverge")
-        if solution.feasible != oracle.feasible:
-            failures.append(f"parity {label}: feasible tables diverge")
+        solver_seconds, solution = timed(
+            lambda: ConstraintSolver(facts, counters=counters).solve()
+        )
+        oracle_seconds, oracle = timed(
+            lambda: closure_oracle(objects_of(facts), facts)
+        )
         runs.append(
             {
-                "world": label,
+                "world": f"seed={seed} concepts={concepts} overlap={overlap}",
                 "facts": len(facts),
                 "derived": len(solution.derived),
                 "solver_steps": solution.steps,
                 "oracle_steps": oracle.propagation_steps,
                 "solver_seconds": round(solver_seconds, 6),
                 "oracle_seconds": round(oracle_seconds, 6),
+                "oracle_consistent": oracle.consistent,
+                "derived_equal": derived_keys(
+                    {a.pair: a for a in solution.derived}
+                ) == derived_keys(oracle.derived),
+                "feasible_equal": solution.feasible == oracle.feasible,
             }
         )
-    return {"runs": runs}, failures
+    for gate, key in (
+        ("parity_oracle_consistent", "oracle_consistent"),
+        ("parity_derived_sets", "derived_equal"),
+        ("parity_feasible_tables", "feasible_equal"),
+    ):
+        gates.holds(gate, all(run[key] for run in runs))
+    gates.holds(
+        "parity_solver_steps_within_oracle",
+        all(r["solver_steps"] <= r["oracle_steps"] for r in runs),
+    )
+    # equal empty sets would prove nothing: every world must derive
+    gates.at_least("parity_min_derived", min(r["derived"] for r in runs), 1)
+    return {"runs": runs}
 
 
-def record_conflict_detection() -> tuple[dict, list[str]]:
-    failures: list[str] = []
+def solve_and_verify(facts) -> tuple[bool, bool]:
+    """(the solver refused the facts, its conflict set verified minimal)."""
+    try:
+        ConstraintSolver(facts).solve()
+    except ConsistencyFailure as failure:
+        return True, bool(verify_conflict(failure.conflict))
+    return False, False
+
+
+def record_conflict_detection(gates: Gates) -> dict:
     runs = []
+    oracle_missed = 0
     for seed, contradictions in CONFLICT_WORLDS:
         pair = generate_schema_pair(
             conflict_seeded_config(seed, contradictions=contradictions)
@@ -129,107 +137,87 @@ def record_conflict_detection() -> tuple[dict, list[str]]:
         minimize_seconds = 0.0
         # contradictions plant independent spoilers: check each in isolation
         for planted in pair.contradictions:
-            extras = [
+            facts = base_facts + [
                 Assertion(first, second, kind)
                 for first, second, kind in planted.extras
             ]
-            facts = base_facts + extras
-            start = time.perf_counter()
-            try:
-                ConstraintSolver(facts).solve()
-            except ConsistencyFailure as failure:
-                caught += 1
-                verified += bool(verify_conflict(failure.conflict))
-            minimize_seconds += time.perf_counter() - start
+            seconds, (was_caught, was_verified) = timed(
+                lambda: solve_and_verify(facts)
+            )
+            caught += was_caught
+            verified += was_verified
+            minimize_seconds += seconds
             oracle = closure_oracle(objects_of(facts), facts)
-            if oracle.consistent:
-                failures.append(
-                    f"conflict seed={seed}: oracle missed a contradiction"
-                )
-        label = f"seed={seed} contradictions={contradictions}"
-        if caught != contradictions:
-            failures.append(
-                f"conflict {label}: solver caught {caught}"
-            )
-        if verified != contradictions:
-            failures.append(
-                f"conflict {label}: only {verified} minimal sets verified"
-            )
+            oracle_missed += oracle.consistent
         runs.append(
             {
-                "world": label,
+                "world": f"seed={seed} contradictions={contradictions}",
                 "planted": contradictions,
                 "caught": caught,
                 "minimal_sets_verified": verified,
                 "solve_and_minimize_seconds": round(minimize_seconds, 6),
             }
         )
-    return {"runs": runs}, failures
+    planted = sum(r["planted"] for r in runs)
+    gates.equal("conflicts_caught", sum(r["caught"] for r in runs), planted)
+    gates.equal(
+        "minimal_sets_verified",
+        sum(r["minimal_sets_verified"] for r in runs),
+        planted,
+    )
+    gates.equal("oracle_missed_conflicts", oracle_missed, 0)
+    return {"runs": runs}
 
 
-def record_suggestion_recall() -> tuple[dict, list[str]]:
-    failures: list[str] = []
+def record_suggestion_recall(gates: Gates) -> dict:
     runs = []
     for seed in SUGGESTION_SEEDS:
         pair = generate_schema_pair(
             conflict_seeded_config(seed, contradictions=0)
         )
         session = AnalysisSession([pair.first, pair.second])
-        start = time.perf_counter()
-        suggestions = session.suggest_assertions(
-            pair.first.name, pair.second.name, limit=10
+        seconds, suggestions = timed(
+            lambda: session.suggest_assertions(
+                pair.first.name, pair.second.name, limit=10
+            )
         )
-        seconds = time.perf_counter() - start
         true_equals = {
             (first, second)
             for (first, second), kind in pair.truth.object_assertions.items()
             if kind is AssertionKind.EQUALS
         }
         top3 = {(s.first, s.second) for s in suggestions[:3]}
-        hit = bool(top3 & true_equals)
-        if not hit:
-            failures.append(
-                f"suggestion seed={seed}: no true equivalence in the top 3"
-            )
         runs.append(
             {
                 "seed": seed,
                 "suggestions": len(suggestions),
                 "true_equals_pairs": len(true_equals),
-                "top3_hit": hit,
+                "top3_hit": bool(top3 & true_equals),
                 "seconds": round(seconds, 6),
             }
         )
-    return {"runs": runs}, failures
+    gates.equal(
+        "suggestion_top3_hits",
+        sum(r["top3_hit"] for r in runs),
+        len(SUGGESTION_SEEDS),
+    )
+    return {"runs": runs}
 
 
-def main() -> None:
-    failures: list[str] = []
-    parity, parity_failures = record_fixpoint_parity()
-    conflicts, conflict_failures = record_conflict_detection()
-    suggestions, suggestion_failures = record_suggestion_recall()
-    failures = parity_failures + conflict_failures + suggestion_failures
+def main() -> int:
+    gates = Gates()
     report = {
         "description": (
             "Batch constraint solver vs. the incremental-closure oracle: "
             "fixpoint parity, conflict detection with verified-minimal "
             "sets, and suggestion top-3 recall; see docs/SOLVER.md"
         ),
-        "repro_sha": repo_sha(),
-        "fixpoint_parity": parity,
-        "conflict_detection": conflicts,
-        "suggestion_recall": suggestions,
-        "gates_failed": failures,
+        "fixpoint_parity": record_fixpoint_parity(gates),
+        "conflict_detection": record_conflict_detection(gates),
+        "suggestion_recall": record_suggestion_recall(gates),
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-    print(json.dumps(report, indent=2))
-    if failures:
-        print("SOLVER SMOKE FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -20,201 +20,71 @@ Run: PYTHONPATH=src python benchmarks/telemetry_smoke.py
 
 from __future__ import annotations
 
-import asyncio
 import json
-import socket
-import sys
-import threading
+import tempfile
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import harness
+from harness import Gates, HttpClient, Service, SseStream
+from repro.ecr.ddl import to_ddl
+from repro.obs.telemetry import parse_prometheus
+from repro.workloads.university import build_sc1, build_sc2
 
-from repro.ecr.ddl import to_ddl  # noqa: E402
-from repro.obs.telemetry import parse_prometheus  # noqa: E402
-from repro.service import ServiceApp, TenantAuth  # noqa: E402
-from repro.service.app import serve  # noqa: E402
-from repro.workloads.university import build_sc1, build_sc2  # noqa: E402
-
-from record_incremental import repo_sha  # noqa: E402
-
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+OUTPUT = harness.REPO_ROOT / "BENCH_obs.json"
 TOKEN = "smoke-token"
 REQUEST_ID = "req-telemetry-smoke"
 
 
-class Server:
-    """The service on an ephemeral port, served from a worker thread."""
-
-    def __init__(self, root: Path) -> None:
-        self.app = ServiceApp(
-            root, auth=TenantAuth.from_tokens({TOKEN: "smoke"})
+def scrape(port: int, which: str) -> dict:
+    """One strictly parsed ``/v1/metrics`` scrape (no auth needed)."""
+    scraper = HttpClient(port)
+    status, body = scraper.request("GET", "/v1/metrics")
+    scraper.close()
+    if status != 200:
+        raise SystemExit(
+            f"telemetry-smoke FAILED: /v1/metrics answered {status}"
         )
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            self.port = probe.getsockname()[1]
-        self._loop = asyncio.new_event_loop()
-        self._task: dict[str, asyncio.Task] = {}
-        started = threading.Event()
-
-        async def main() -> None:
-            ready = asyncio.Event()
-            self._task["serve"] = asyncio.ensure_future(
-                serve(self.app, "127.0.0.1", self.port, ready=ready)
-            )
-            await ready.wait()
-            started.set()
-            try:
-                await self._task["serve"]
-            except asyncio.CancelledError:
-                pass
-
-        self._thread = threading.Thread(
-            target=lambda: self._loop.run_until_complete(main())
-        )
-        self._thread.start()
-        if not started.wait(timeout=30):
-            raise RuntimeError("service failed to start")
-
-    def stop(self) -> None:
-        self._loop.call_soon_threadsafe(self._task["serve"].cancel)
-        self._thread.join(timeout=30)
-        self._loop.close()
-        self.app.close()
+    try:
+        return parse_prometheus(body.decode("utf-8"))
+    except ValueError as exc:
+        raise SystemExit(
+            f"telemetry-smoke FAILED: {which} scrape is malformed: {exc}"
+        ) from exc
 
 
-def http(
-    port: int,
-    method: str,
-    path: str,
-    body: dict | None = None,
-    *,
-    headers: dict[str, str] | None = None,
-    token: str | None = TOKEN,
-) -> tuple[int, bytes]:
-    data = json.dumps(body).encode("utf-8") if body is not None else b""
-    lines = [f"{method} {path} HTTP/1.1", "host: localhost"]
-    if token:
-        lines.append(f"authorization: Bearer {token}")
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    if data:
-        lines.append(f"content-length: {len(data)}")
-    lines.append("connection: close")
-    raw = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + data
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(raw)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    answer = b"".join(chunks)
-    head, _, payload = answer.partition(b"\r\n\r\n")
-    return int(head.split()[1]), payload
-
-
-class SseConsumer:
-    """Reads one SSE stream over a raw socket until the server closes it."""
-
-    def __init__(self, port: int, path: str) -> None:
-        self.path = path
-        self.body = b""
-        self.opened = threading.Event()
-        self._thread = threading.Thread(
-            target=self._consume, args=(port,), daemon=True
-        )
-        self._thread.start()
-
-    def _consume(self, port: int) -> None:
-        request = (
-            f"GET {self.path} HTTP/1.1\r\nhost: localhost\r\n"
-            f"authorization: Bearer {TOKEN}\r\n\r\n"
-        ).encode("latin-1")
-        with socket.create_connection(
-            ("127.0.0.1", port), timeout=120
-        ) as sock:
-            sock.sendall(request)
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                self.body += chunk
-                if b": stream open" in self.body:
-                    self.opened.set()
-
-    def frames(self, timeout: float = 120.0) -> list[dict]:
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError(f"stream {self.path} did not terminate")
-        _, _, payload = self.body.partition(b"\r\n\r\n")
-        frames = []
-        for block in payload.decode("utf-8").split("\n\n"):
-            block = block.strip()
-            if not block or block.startswith(":"):
-                continue
-            frame: dict = {}
-            for line in block.splitlines():
-                key, _, value = line.partition(": ")
-                frame[key] = value
-            if "data" in frame:
-                frame["data"] = json.loads(frame["data"])
-            frames.append(frame)
-        return frames
-
-
-def fail(message: str) -> int:
-    print(f"telemetry-smoke FAILED: {message}", file=sys.stderr)
-    return 1
+def total(series: dict, family: str) -> float:
+    return sum(
+        value
+        for name, value in series.items()
+        if name.startswith(family + "{")
+    )
 
 
 def main() -> int:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as root:
-        server = Server(Path(root))
-        try:
-            return run(server)
-        finally:
-            server.stop()
+        with Service(root, {TOKEN: "smoke"}) as server:
+            return run(server.port)
 
 
-def run(server: Server) -> int:
-    port = server.port
-
+def run(port: int) -> int:
     # 1) first scrape: must be valid exposition text
-    status, body = http(port, "GET", "/v1/metrics", token=None)
-    if status != 200:
-        return fail(f"/v1/metrics answered {status}")
-    try:
-        first_scrape = parse_prometheus(body.decode("utf-8"))
-    except ValueError as exc:
-        return fail(f"first scrape is malformed: {exc}")
+    first_scrape = scrape(port, "first")
 
     # 2) seed a session with the paper schemas + the canonical DDA calls
+    client = HttpClient(port, TOKEN)
     steps = [
-        ("POST", "/v1/sessions", {"session_id": "s1"}),
-        ("POST", "/v1/sessions/s1/schemas", {"ddl": to_ddl(build_sc1())}),
-        ("POST", "/v1/sessions/s1/schemas", {"ddl": to_ddl(build_sc2())}),
+        ("/v1/sessions", {"session_id": "s1"}),
+        ("/v1/sessions/s1/schemas", {"ddl": to_ddl(build_sc1())}),
+        ("/v1/sessions/s1/schemas", {"ddl": to_ddl(build_sc2())}),
         (
-            "POST",
             "/v1/sessions/s1/equivalences",
-            {
-                "first": "sc1.Student.Name",
-                "second": "sc2.Grad_student.Name",
-            },
+            {"first": "sc1.Student.Name", "second": "sc2.Grad_student.Name"},
         ),
         (
-            "POST",
             "/v1/sessions/s1/equivalences",
-            {
-                "first": "sc1.Department.Name",
-                "second": "sc2.Department.Name",
-            },
+            {"first": "sc1.Department.Name", "second": "sc2.Department.Name"},
         ),
         (
-            "POST",
             "/v1/sessions/s1/assertions",
             {
                 "first": "sc1.Department",
@@ -223,7 +93,6 @@ def run(server: Server) -> int:
             },
         ),
         (
-            "POST",
             "/v1/sessions/s1/assertions",
             {
                 "first": "sc1.Student",
@@ -232,47 +101,47 @@ def run(server: Server) -> int:
             },
         ),
     ]
-    for method, path, payload in steps:
-        status, body = http(port, method, path, payload)
+    for path, payload in steps:
+        status, body = client.request("POST", path, payload)
         if status >= 400:
-            return fail(f"{method} {path} answered {status}: {body!r}")
+            raise SystemExit(
+                f"telemetry-smoke FAILED: POST {path} answered "
+                f"{status}: {body!r}"
+            )
 
     # 3) open both streams, then drive one background integration
-    events = SseConsumer(
-        port, "/v1/sessions/s1/events/stream?idle_s=3&timeout_s=90"
+    events, spans = (
+        SseStream(
+            port,
+            f"/v1/sessions/s1/{kind}/stream?idle_s=3&timeout_s=90",
+            TOKEN,
+        )
+        for kind in ("events", "spans")
     )
-    spans = SseConsumer(
-        port, "/v1/sessions/s1/spans/stream?idle_s=3&timeout_s=90"
-    )
-    for consumer in (events, spans):
-        if not consumer.opened.wait(timeout=30):
-            return fail(f"stream {consumer.path} never opened")
-
-    status, body = http(
-        port,
+    status, body = client.request(
         "POST",
         "/v1/sessions/s1/integrate",
         {"first": "sc1", "second": "sc2", "mode": "background"},
         headers={"x-request-id": REQUEST_ID},
     )
-    if status != 202:
-        return fail(f"background integrate answered {status}: {body!r}")
     job = json.loads(body)
-    if job.get("request_id") != REQUEST_ID:
-        return fail(
-            f"job lost the request id: {job.get('request_id')!r}"
+    if status != 202:
+        raise SystemExit(
+            "telemetry-smoke FAILED: background integrate answered "
+            f"{status}: {job!r}"
         )
     deadline = time.monotonic() + 60
     while True:
-        status, body = http(port, "GET", f"/v1/jobs/{job['job_id']}")
-        state = json.loads(body)["state"]
-        if state in ("succeeded", "failed", "cancelled"):
+        _, body = client.request("GET", f"/v1/jobs/{job['job_id']}")
+        state = json.loads(body)
+        if state["state"] in ("succeeded", "failed", "cancelled"):
             break
         if time.monotonic() > deadline:
-            return fail("background integration never finished")
+            raise SystemExit(
+                "telemetry-smoke FAILED: integration never finished"
+            )
         time.sleep(0.1)
-    if state != "succeeded":
-        return fail(f"background integration {state}: {body!r}")
+    client.close()
 
     # 4) both streams must have carried real, correlated traffic
     event_frames = [
@@ -285,52 +154,34 @@ def run(server: Server) -> int:
         for frame in spans.frames()
         if frame.get("event") == "span"
     ]
-    if not event_frames:
-        return fail("events stream delivered zero kernel events")
-    if not span_frames:
-        return fail("spans stream delivered zero spans")
     correlated_events = [
-        frame
-        for frame in event_frames
-        if frame["request_id"] == REQUEST_ID
+        frame for frame in event_frames if frame["request_id"] == REQUEST_ID
     ]
     correlated_spans = [
-        frame
-        for frame in span_frames
-        if frame["request_id"] == REQUEST_ID
+        frame for frame in span_frames if frame["request_id"] == REQUEST_ID
     ]
-    if not correlated_events:
-        return fail("no kernel event carried the job's request id")
-    if not correlated_spans:
-        return fail("no span carried the job's request id")
 
     # 5) second scrape: still valid, and the traffic is visible
-    status, body = http(port, "GET", "/v1/metrics", token=None)
-    try:
-        second_scrape = parse_prometheus(body.decode("utf-8"))
-    except ValueError as exc:
-        return fail(f"second scrape is malformed: {exc}")
-    requests_seen = sum(
-        value
-        for series, value in second_scrape.items()
-        if series.startswith("repro_http_requests_total{")
+    second_scrape = scrape(port, "second")
+    gates = Gates()
+    gates.equal("integration_state", state["state"], "succeeded")
+    gates.equal("job_request_id", job.get("request_id"), REQUEST_ID)
+    gates.at_least("events_streamed", len(event_frames), 1)
+    gates.at_least("spans_streamed", len(span_frames), 1)
+    gates.at_least("correlated_events", len(correlated_events), 1)
+    gates.at_least("correlated_spans", len(correlated_spans), 1)
+    family = "repro_http_requests_total"
+    gates.at_least(
+        "requests_counted_between_scrapes",
+        total(second_scrape, family) - total(first_scrape, family),
+        1,
     )
-    if requests_seen <= sum(
-        value
-        for series, value in first_scrape.items()
-        if series.startswith("repro_http_requests_total{")
-    ):
-        return fail("request counters did not advance between scrapes")
-    streamed = sum(
-        value
-        for series, value in second_scrape.items()
-        if series.startswith("repro_sse_events_total{")
+    gates.at_least(
+        "sse_events_counted",
+        total(second_scrape, "repro_sse_events_total"),
+        1,
     )
-    if streamed <= 0:
-        return fail("SSE delivery counters stayed at zero")
-
     record = {
-        "repro_sha": repo_sha(),
         "request_id": REQUEST_ID,
         "scrape_series": len(second_scrape),
         "events_streamed": len(event_frames),
@@ -338,17 +189,9 @@ def run(server: Server) -> int:
         "correlated_events": len(correlated_events),
         "correlated_spans": len(correlated_spans),
     }
-    bench = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
-    bench["telemetry_smoke"] = record
-    OUTPUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    print(
-        "telemetry-smoke OK: "
-        f"{len(second_scrape)} series scraped, "
-        f"{len(event_frames)} kernel events + {len(span_frames)} spans "
-        f"streamed, request id {REQUEST_ID} joined "
-        f"{len(correlated_events)}/{len(correlated_spans)} of them"
+    return harness.write_record(
+        OUTPUT, record, gates, section="telemetry_smoke"
     )
-    return 0
 
 
 if __name__ == "__main__":

@@ -11,12 +11,11 @@ Like the OCS, the ACS is a **memoized view**: the derived pair list and the
 dense boolean matrix are cached and recomputed only after a registry change
 that touched one of the two schemas.  Obtain matrices through
 :meth:`EquivalenceRegistry.acs`; constructing :class:`AcsMatrix` directly
-is deprecated (it still works, with its own unshared cache).
+builds its own unshared cache.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,17 +51,7 @@ class AcsMatrix:
         registry: "EquivalenceRegistry",
         first_schema: str,
         second_schema: str,
-        *,
-        _trusted: bool = False,
     ) -> None:
-        if not _trusted:
-            warnings.warn(
-                "constructing AcsMatrix directly is deprecated; use "
-                "registry.acs(first_schema, second_schema) to get the "
-                "shared cached view",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self._registry = registry
         self.first_schema = first_schema
         self.second_schema = second_schema

@@ -13,14 +13,12 @@ The matrix is a **memoized view** over the registry: cell values are cached
 and, via the registry's change events, only the cells whose row or column
 was touched by a mutation are invalidated.  Obtain matrices through
 :meth:`EquivalenceRegistry.ocs` — that returns one long-lived cached view
-per schema pair; constructing :class:`OcsMatrix` directly is deprecated
-(it still works, and still invalidates correctly, but each construction
-builds a fresh unshared cache).
+per schema pair; constructing :class:`OcsMatrix` directly builds a fresh,
+unshared cache (it still invalidates correctly).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,16 +58,7 @@ class OcsMatrix:
         second_schema: str,
         *,
         kind_filter: ObjectKind | None = None,
-        _trusted: bool = False,
     ) -> None:
-        if not _trusted:
-            warnings.warn(
-                "constructing OcsMatrix directly is deprecated; use "
-                "registry.ocs(first_schema, second_schema, kind_filter) "
-                "to get the shared cached view",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self._registry = registry
         self.first_schema = first_schema
         self.second_schema = second_schema

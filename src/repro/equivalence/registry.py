@@ -352,9 +352,9 @@ class EquivalenceRegistry:
 
         Repeated calls with the same arguments return the *same* matrix
         object; its cells are cached and invalidated per object pair as the
-        registry mutates.  This is the recommended way to obtain a matrix —
-        direct :class:`~repro.equivalence.ocs.OcsMatrix` construction is
-        deprecated.
+        registry mutates.  This is the way to obtain a matrix — direct
+        :class:`~repro.equivalence.ocs.OcsMatrix` construction builds an
+        unshared cache.
         """
         from repro.equivalence.ocs import OcsMatrix
 
@@ -368,7 +368,6 @@ class EquivalenceRegistry:
                 first_schema,
                 second_schema,
                 kind_filter=kind_filter,
-                _trusted=True,
             )
             self._ocs_cache[key] = matrix
         return matrix
@@ -378,7 +377,7 @@ class EquivalenceRegistry:
 
         Like :meth:`ocs`, returns one long-lived cached view per schema
         pair; direct :class:`~repro.equivalence.acs.AcsMatrix` construction
-        is deprecated.
+        builds an unshared cache.
         """
         from repro.equivalence.acs import AcsMatrix
 
@@ -387,7 +386,7 @@ class EquivalenceRegistry:
         if matrix is None:
             self.schema(first_schema)
             self.schema(second_schema)
-            matrix = AcsMatrix(self, first_schema, second_schema, _trusted=True)
+            matrix = AcsMatrix(self, first_schema, second_schema)
             self._acs_cache[key] = matrix
         return matrix
 

@@ -4,7 +4,7 @@ A :class:`SchemaEdit` is a single declarative change to one component
 schema: add/drop/rename an attribute, add/drop an object class, add/drop/
 retarget a relationship set, or change a key flag / cardinality constraint.
 Edits are the *only* supported mutation entry point for registered schemas
-(ad-hoc in-place edits followed by ``refresh_after_edit`` are deprecated):
+(the ad-hoc in-place edit path ``refresh_after_edit`` has been removed):
 they validate before mutating, so a failed edit leaves the schema exactly
 as it was, and :meth:`SchemaEdit.apply` returns an :class:`EditDelta`
 describing precisely what changed — which attribute refs appeared,

@@ -19,10 +19,6 @@ non-wire fields so the screens lose nothing.
   (:meth:`ToolSession.connect_federation`);
 * :class:`RecoveryInfo` — how the last open rebuilt the session
   (:meth:`ToolSession.recovery_info`).
-
-The pre-redesign methods (``run_global_request``, ``attach_federation``)
-still exist and still return the old shapes, but warn
-``DeprecationWarning`` for one release; see docs/API.md.
 """
 
 from __future__ import annotations

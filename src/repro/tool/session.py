@@ -39,7 +39,7 @@ class ToolSession:
     selected_pair: tuple[str, str] | None = None
     result: IntegrationResult | None = None
     #: the federated query engine over the component databases, once
-    #: attached (see :meth:`attach_federation`)
+    #: attached (see :meth:`connect_federation`)
     federation: "object | None" = None
     #: status line shown under the next screen render
     status: str = ""
@@ -159,26 +159,6 @@ class ToolSession:
             raise ToolError(f"schema {schema.name!r} already defined")
         self.schemas[schema.name] = schema
         self.analysis.add_schema(schema)
-
-    def refresh_after_edit(self, schema_name: str) -> None:
-        """Deprecated full re-sync after an ad-hoc schema mutation.
-
-        Mutating a :class:`~repro.ecr.schema.Schema` directly and calling
-        this bypasses the kernel's event log (no undo, no audit, no WAL
-        coverage) and rebuilds far more than the edit touched.  Apply a
-        typed :class:`~repro.evolution.SchemaEdit` through
-        :meth:`apply_edit` instead.  Will be removed next release.
-        """
-        import warnings
-
-        warnings.warn(
-            "ToolSession.refresh_after_edit() is deprecated; apply a "
-            "typed SchemaEdit through ToolSession.apply_edit() so the "
-            "change is logged, undoable and repaired locally",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.analysis.refresh_schema(schema_name)
 
     # -- schema evolution ---------------------------------------------------------
 
@@ -368,24 +348,6 @@ class ToolSession:
             engine=self.federation,
         )
 
-    def attach_federation(self, stores=None, *, policy=None):
-        """Deprecated pre-redesign shape of :meth:`connect_federation`.
-
-        Returns the bare engine instead of the typed
-        :class:`~repro.tool.results.FederationAttachment`.  Will be
-        removed next release.
-        """
-        import warnings
-
-        warnings.warn(
-            "ToolSession.attach_federation() is deprecated; call "
-            "connect_federation() and use the returned "
-            "FederationAttachment (the engine is its .engine field)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.connect_federation(stores, policy=policy).engine
-
     def require_federation(self):
         """The attached engine, auto-attaching demo stores if needed."""
         if self.federation is None:
@@ -429,25 +391,6 @@ class ToolSession:
                 inverse=NO_CHANGE,
             )
         return GlobalRequestResult.from_engine_result(text, result)
-
-    def run_global_request(self, text: str):
-        """Deprecated pre-redesign shape of :meth:`execute_global_request`.
-
-        Returns the engine's raw
-        :class:`~repro.federation.engine.FederationResult` instead of the
-        typed :class:`~repro.tool.results.GlobalRequestResult`.  Will be
-        removed next release.
-        """
-        import warnings
-
-        warnings.warn(
-            "ToolSession.run_global_request() is deprecated; call "
-            "execute_global_request() and use the returned "
-            "GlobalRequestResult (the engine result is its .raw field)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute_global_request(text).raw
 
     # -- persistence (the data dictionary) ---------------------------------------
 

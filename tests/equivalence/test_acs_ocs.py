@@ -41,11 +41,10 @@ class TestAcs:
         text = registry.acs("sc1", "sc2").render()
         assert "X" in text and "sc1.Student.Name" in text
 
-    def test_direct_construction_deprecated(self, registry):
-        with pytest.warns(DeprecationWarning, match="registry.acs"):
-            acs = AcsMatrix(registry, "sc1", "sc2")
-        # The shim still works.
+    def test_direct_construction_is_unshared(self, registry):
+        acs = AcsMatrix(registry, "sc1", "sc2")
         assert len(acs.rows) == 4
+        assert acs is not registry.acs("sc1", "sc2")
 
 
 class TestOcs:
@@ -96,12 +95,12 @@ class TestOcs:
         assert "OCS sc1 x sc2" in text
         assert "Grad_student" in text
 
-    def test_direct_construction_deprecated(self, registry):
-        with pytest.warns(DeprecationWarning, match="registry.ocs"):
-            ocs = OcsMatrix(registry, "sc1", "sc2")
+    def test_direct_construction_is_unshared(self, registry):
+        ocs = OcsMatrix(registry, "sc1", "sc2")
         assert ocs.count(
             ObjectRef("sc1", "Student"), ObjectRef("sc2", "Grad_student")
         ) == 2
+        assert ocs is not registry.ocs("sc1", "sc2")
 
     def test_factory_returns_cached_instance(self, registry):
         first = registry.ocs("sc1", "sc2")

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.ecr.attributes import Attribute
-from repro.ecr.objects import EntitySet
 from repro.errors import ToolError
 from repro.tool.session import ToolSession
 from repro.workloads.university import build_sc1, build_sc2
@@ -50,13 +48,6 @@ class TestSchemaManagement:
     def test_adopt_duplicate_rejected(self, loaded):
         with pytest.raises(ToolError):
             loaded.adopt_schema(build_sc1())
-
-    def test_refresh_after_edit_deprecated(self, loaded):
-        schema = loaded.schema("sc1")
-        schema.add(EntitySet("NewThing", [Attribute("x")]))
-        with pytest.deprecated_call():
-            loaded.refresh_after_edit("sc1")
-        assert loaded.registry.class_number("sc1.NewThing.x") >= 1
 
 
 class TestPairSelection:

@@ -1,9 +1,7 @@
-"""The redesigned typed results and their deprecation shims.
+"""The typed results of the ToolSession facades.
 
 ``connect_federation`` / ``execute_global_request`` / ``recovery_info``
-return frozen dataclasses whose ``to_wire()`` is plain JSON; the old
-``attach_federation`` / ``run_global_request`` names keep returning the
-old raw shapes but warn ``DeprecationWarning`` for one release.
+return frozen dataclasses whose ``to_wire()`` is plain JSON.
 """
 
 from __future__ import annotations
@@ -69,12 +67,6 @@ class TestConnectFederation:
         assert wire["integrated_schema"]
         assert "engine" not in wire
 
-    def test_attach_federation_shim_warns_and_returns_engine(self, session):
-        with pytest.warns(DeprecationWarning, match="connect_federation"):
-            engine = session.attach_federation()
-        assert isinstance(engine, FederationEngine)
-        assert session.federation is engine
-
 
 class TestExecuteGlobalRequest:
     def test_returns_typed_result(self, session):
@@ -95,12 +87,6 @@ class TestExecuteGlobalRequest:
         assert wire["row_count"] == len(wire["rows"])
         assert set(wire["components"]) == {"sc1", "sc2"}
         assert isinstance(wire["health"], dict)
-
-    def test_run_global_request_shim_warns_and_returns_raw(self, session):
-        session.connect_federation()
-        with pytest.warns(DeprecationWarning, match="execute_global_request"):
-            raw = session.run_global_request("select D_Name from Student")
-        assert isinstance(raw, FederationResult)
 
     def test_query_still_lands_on_kernel_log(self, session):
         session.connect_federation()
