@@ -23,8 +23,10 @@ test-deprecations:
 ##            (docs/OBSERVABILITY.md)
 ## fed:       8-component concurrent fan-out >= 2x sequential; fault
 ##            injection never leaks (docs/FEDERATION.md)
-## bench:     the closure + equivalence-screen benchmarks, then the
-##            incremental counters -> BENCH_incremental.json
+## bench:     the closure + equivalence-screen benchmarks; one EXP-CLO
+##            retract <= 25% of a rebuild's propagation steps, one
+##            equivalence edit <= 25% of the OCS cells
+##            (BENCH_incremental.json)
 ## kernel:    per-event bus cost <= 5% of an incremental retract;
 ##            snapshot restore <= 50 ms (docs/ARCHITECTURE.md)
 ## crash:     crash-anywhere properties; WAL commit <= 5% of an

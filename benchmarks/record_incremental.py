@@ -5,7 +5,10 @@ Replays the two instrumented workloads — the EXP-CLO retract comparison
 (``bench_screens_equivalence.py``) — through the incremental engine and
 writes every :class:`~repro.obs.metrics.AnalysisCounters` snapshot,
 plus the incremental-vs-full-rebuild ratios, to ``BENCH_incremental.json``
-at the repository root.  It records; it has no gates.
+at the repository root.  It gates the two ratios on the EXP-CLO world
+at the bounds ``bench_exp_closure.py`` asserts: one retract repropagates
+at most 25% of a full rebuild's steps, and one equivalence edit
+recomputes at most 25% of the OCS cells.
 
 Run:  PYTHONPATH=src python benchmarks/record_incremental.py
 """
@@ -134,7 +137,16 @@ def main() -> int:
         "screens_session": record_screens_session(),
         "facade_flow": record_facade_flow(),
     }
-    return harness.write_record(OUTPUT, report, Gates())
+    gates = Gates()
+    gates.at_most(
+        "closure_retract_steps_ratio",
+        report["closure_retract"]["propagation_steps_ratio"],
+        0.25,
+    )
+    gates.at_most(
+        "ocs_edit_cells_ratio", report["ocs_edit"]["ocs_cells_ratio"], 0.25
+    )
+    return harness.write_record(OUTPUT, report, gates)
 
 
 if __name__ == "__main__":

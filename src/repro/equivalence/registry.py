@@ -473,7 +473,10 @@ class EquivalenceRegistry:
         pre-mutation membership captured by :meth:`declare_equivalent` /
         :meth:`remove_from_class` as their inverse descriptor.  Every
         listed attribute is detached from wherever it currently sits and
-        reattached to its recorded class.
+        reattached to its recorded class.  A recorded number that other
+        attributes hold by now (a state rebuild since the capture
+        renumbered the classes) is replaced by a fresh one, so the
+        memberships come back exact either way.
         """
         resolved = [
             (int(number), [coerce_attribute_ref(ref) for ref in refs])
@@ -485,7 +488,10 @@ class EquivalenceRegistry:
                 for ref in refs:
                     if ref in self._class_of:
                         self._detach(ref)
-            for number, refs in resolved:
+            for index, (number, refs) in enumerate(resolved):
+                if number in self._members:
+                    number = self._next_class
+                    resolved[index] = (number, refs)
                 members = self._members.setdefault(number, [])
                 for ref in refs:
                     self._class_of[ref] = number

@@ -112,11 +112,16 @@ class SchemaEdit:
 
 @dataclass(frozen=True)
 class AddAttribute(SchemaEdit):
-    """Add an attribute to an object class or relationship set."""
+    """Add an attribute to an object class or relationship set.
+
+    ``position`` pins the attribute's index (inverse edits of attribute
+    drops carry it so undo reproduces the original schema bytes).
+    """
 
     kind: ClassVar[str] = "add_attribute"
     object_name: str = ""
     attribute: Attribute = field(default_factory=lambda: Attribute("attr"))
+    position: int | None = None
 
     def apply(self, schema: Schema) -> EditDelta:
         structure = schema.get(self.object_name)
@@ -125,21 +130,31 @@ class AddAttribute(SchemaEdit):
                 "attribute", self.attribute.name, self.object_name
             )
         structure.add_attribute(self.attribute)
+        if self.position is not None:
+            attributes = structure.attributes
+            attributes.insert(max(0, self.position), attributes.pop())
         return EditDelta(
             inverse=DropAttribute(self.object_name, self.attribute.name),
             added_refs=((self.object_name, self.attribute.name),),
         )
 
     def to_payload(self) -> dict[str, Any]:
-        return {
+        data: dict[str, Any] = {
             "kind": self.kind,
             "object": self.object_name,
             "attribute": attribute_to_dict(self.attribute),
         }
+        if self.position is not None:
+            data["position"] = self.position
+        return data
 
     @classmethod
     def from_payload(cls, data: dict[str, Any]) -> "AddAttribute":
-        return cls(data["object"], attribute_from_dict(data["attribute"]))
+        return cls(
+            data["object"],
+            attribute_from_dict(data["attribute"]),
+            data.get("position"),
+        )
 
     def describe(self) -> str:
         return f"add attribute {self.attribute.name} to {self.object_name}"
@@ -156,9 +171,10 @@ class DropAttribute(SchemaEdit):
     def apply(self, schema: Schema) -> EditDelta:
         structure = schema.get(self.object_name)
         removed = structure.attribute(self.attribute_name)  # validates
+        position = structure.attributes.index(removed)
         structure.remove_attribute(self.attribute_name)
         return EditDelta(
-            inverse=AddAttribute(self.object_name, removed),
+            inverse=AddAttribute(self.object_name, removed, position),
             dropped_refs=((self.object_name, self.attribute_name),),
         )
 

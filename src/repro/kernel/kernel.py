@@ -10,14 +10,15 @@ book-keeping that turns a flat event log into a session's history:
   (branching history is linear, like an editor's undo stack).
 * **transactions** — :meth:`transaction` makes a multi-mutation block
   all-or-nothing: on an exception the events committed inside are
-  rolled back (by inverse application when every event recorded one,
-  else by state rebuild) and dropped from the log.
+  dropped from the log and the session is rebuilt from the state it
+  entered with.
 * **snapshots** — periodic :class:`~repro.kernel.snapshots.Snapshot`
-  records of the session state, so :meth:`checkout` restores any offset
-  by *nearest snapshot + tail replay* instead of full replay.
+  records of the session state, taken at an outermost commit, so
+  :meth:`checkout` restores any offset by *nearest snapshot + tail
+  replay* instead of full replay.
 * **undo/redo** — group-wise time travel: :meth:`undo` reverts the most
   recent effectful transaction (skipping no-op groups such as recorded
-  conflicts), :meth:`redo` re-applies forward.
+  conflicts), :meth:`redo` re-applies up to the next effectful one.
 * **persistence** — :meth:`export_state` / :meth:`restore` round-trip
   the log + snapshots through the data dictionary; restoring a session
   is ``Kernel.restore(...)`` followed by :meth:`checkout` of the saved
@@ -122,19 +123,23 @@ class Kernel:
 
     # -- live-publish hooks ------------------------------------------------------
 
+    def _truncate(self, offset: int) -> None:
+        """Cut history at ``offset``: events, snapshots and cached results."""
+        self.bus.truncate(offset)
+        self._snapshots = [
+            snapshot
+            for snapshot in self._snapshots
+            if snapshot.offset <= offset
+        ]
+        self._results_by_offset = {
+            at: result
+            for at, result in self._results_by_offset.items()
+            if at <= offset
+        }
+
     def _before_live_publish(self) -> None:
         if self._head < self.bus.offset:
-            self.bus.truncate(self._head)
-            self._snapshots = [
-                snapshot
-                for snapshot in self._snapshots
-                if snapshot.offset <= self._head
-            ]
-            self._results_by_offset = {
-                offset: result
-                for offset, result in self._results_by_offset.items()
-                if offset <= self._head
-            }
+            self._truncate(self._head)
             if self.wal is not None and self._wal_truncate is None:
                 self._wal_truncate = self._head
 
@@ -221,7 +226,8 @@ class Kernel:
         """Commit the mutations inside as one undo/redo unit.
 
         Thin wrapper over :meth:`EventBus.grouped` that also takes the
-        periodic snapshot at commit.  No rollback on exception — a
+        periodic snapshot at an outermost commit (never mid-transaction,
+        where a rollback could strand it).  No rollback on exception — a
         recorded conflict legitimately stays in the log; use
         :meth:`transaction` for all-or-nothing semantics.
         """
@@ -233,18 +239,18 @@ class Kernel:
                 # no rollback on exception — whatever committed stays in
                 # the log, so it must reach the WAL too
                 self._wal_commit()
-            if not self.bus.replaying_now:
+            if self.bus.active_txn is None and not self.bus.replaying_now:
                 self._maybe_snapshot()
 
     @contextmanager
     def transaction(self) -> Iterator[int | None]:
         """All-or-nothing multi-mutation block.
 
-        On an exception, every event committed inside is rolled back —
-        by applying recorded inverses in reverse when all events have
-        one, else by rebuilding the session from the entry state — and
-        dropped from the log, then the exception propagates.  Nested
-        transactions join the outermost one (a rollback is total).
+        On an exception, history is cut back to the entry offset (only
+        when the block published: otherwise events past it are a redo
+        tail that is not ours to drop), the session is rebuilt from its
+        entry state if anything changed, and the exception propagates.
+        Nested transactions join the outermost one (a rollback is total).
         """
         with self.bus.lock:
             if self.bus.replaying_now or self.bus.active_txn is not None:
@@ -259,53 +265,20 @@ class Kernel:
                     yield txn
             except BaseException:
                 self._wal_discard()
-                self._rollback(
-                    start,
-                    entry_state,
-                    published=self._live_publishes > entry_publishes,
-                )
+                published = self._live_publishes > entry_publishes
+                if published:
+                    self._truncate(start)
+                if (
+                    published
+                    or self._require_session().state_payload() != entry_state
+                ):
+                    self._rebuild_state(entry_state)
+                    self._resnapshot_audit()
+                self._head = start
                 raise
             else:
                 self._wal_commit()
                 self._maybe_snapshot()
-
-    def _rollback(
-        self,
-        start: int,
-        entry_state: dict[str, Any],
-        *,
-        published: bool = True,
-    ) -> None:
-        if not published:
-            # nothing reached the log: events past ``start`` are a
-            # pre-existing redo tail, not ours to drop or invert — only
-            # repair the session if the failed operation mutated state
-            # before raising
-            if self._require_session().state_payload() != entry_state:
-                self._rebuild_state(entry_state)
-                self._resnapshot_audit()
-            self._head = start
-            return
-        committed = self.bus.events(start)
-        inverses = [
-            self.bus.inverse_for(event.offset) for event in committed
-        ]
-        self.bus.truncate(start)
-        self._results_by_offset = {
-            offset: result
-            for offset, result in self._results_by_offset.items()
-            if offset <= start
-        }
-        if all(inverse is not None for inverse in inverses):
-            with self.bus.replaying():
-                for inverse in reversed(inverses):
-                    if inverse is NO_CHANGE:
-                        continue
-                    self._apply_inverse(inverse)
-        else:
-            self._rebuild_state(entry_state)
-        self._head = start
-        self._resnapshot_audit()
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -399,96 +372,89 @@ class Kernel:
         state, so undoing them would be a surprise no-op for the user.
         """
         with self.bus.lock:
-            target = self._head
-            while target > self._baseline:
-                group = self._group_ending_at(target)
-                start = group[0].offset - 1
-                inverses = [
-                    self.bus.inverse_for(event.offset) for event in group
-                ]
-                if all(inverse is NO_CHANGE for inverse in inverses):
-                    target = start
-                    continue
-                if all(inverse is not None for inverse in inverses):
-                    with self.bus.replaying():
-                        for inverse in reversed(inverses):
-                            if inverse is NO_CHANGE:
-                                continue
-                            self._apply_inverse(inverse)
-                    self._head = start
-                    self._resnapshot_audit()
-                    self._wal_record_head()
-                else:
-                    self.checkout(start)  # records the head move itself
+            target = self._undo_target()
+            if target is None:
+                return False
+            start, inverses = target
+            if any(inverse is None for inverse in inverses):
+                self.checkout(start)  # records the head move itself
                 return True
-            return False
+            with self.bus.replaying():
+                for inverse in reversed(inverses):
+                    if inverse is not NO_CHANGE:
+                        self._apply_inverse(inverse)
+            self._head = start
+            self._resnapshot_audit()
+            self._wal_record_head()
+            return True
 
     def redo(self) -> bool:
-        """Re-apply the next effectful undone group; False if none remains."""
+        """Re-apply up to the next effectful undone group; False if none.
+
+        No-op groups before it are replayed on the way; trailing no-op
+        groups with nothing effectful after them are left alone, so a
+        False return changes nothing.
+        """
         with self.bus.lock:
-            applied_effectful = False
-            while self._head < self.bus.offset and not applied_effectful:
-                group = self._group_starting_after(self._head)
-                applied_effectful = any(
-                    self.bus.inverse_for(event.offset) is not NO_CHANGE
-                    for event in group
-                )
-                with self.bus.replaying():
-                    for event in group:
-                        self._replay_one(event)
-                self._head = group[-1].offset
-            if applied_effectful:
-                self._resnapshot_audit()
-                self._wal_record_head()
-            return applied_effectful
+            end = self._redo_target()
+            if end is None:
+                return False
+            for event in self.bus.events(self._head, end):
+                self._replay_one(event)
+            self._head = end
+            self._resnapshot_audit()
+            self._wal_record_head()
+            return True
 
     def can_undo(self) -> bool:
         with self.bus.lock:
-            target = self._head
-            while target > self._baseline:
-                group = self._group_ending_at(target)
-                if any(
-                    self.bus.inverse_for(event.offset) is not NO_CHANGE
-                    for event in group
-                ):
-                    return True
-                target = group[0].offset - 1
-            return False
+            return self._undo_target() is not None
 
     def can_redo(self) -> bool:
         with self.bus.lock:
-            offset = self._head
-            while offset < self.bus.offset:
-                group = self._group_starting_after(offset)
-                if any(
-                    self.bus.inverse_for(event.offset) is not NO_CHANGE
-                    for event in group
-                ):
-                    return True
-                offset = group[-1].offset
-            return False
+            return self._redo_target() is not None
 
-    def _group_ending_at(self, offset: int) -> list[Event]:
-        """The contiguous run of same-transaction events ending at ``offset``."""
-        event = self.bus.event_at(offset)
-        start = offset
-        while (
-            start - 1 > self._baseline
-            and self.bus.event_at(start - 1).txn == event.txn
-        ):
-            start -= 1
-        return self.bus.events(start - 1, offset)
+    def _undo_target(self) -> "tuple[int, list[object]] | None":
+        """The start offset and inverses of the latest effectful group.
 
-    def _group_starting_after(self, offset: int) -> list[Event]:
-        """The contiguous run of same-transaction events starting at ``offset + 1``."""
-        event = self.bus.event_at(offset + 1)
-        end = offset + 1
-        while (
-            end + 1 <= self.bus.offset
-            and self.bus.event_at(end + 1).txn == event.txn
-        ):
-            end += 1
-        return self.bus.events(offset, end)
+        A group is the contiguous run of same-transaction events.
+        """
+        end = self._head
+        while end > self._baseline:
+            txn = self.bus.event_at(end).txn
+            start = end - 1
+            while (
+                start > self._baseline
+                and self.bus.event_at(start).txn == txn
+            ):
+                start -= 1
+            inverses = [
+                self.bus.inverse_for(offset)
+                for offset in range(start + 1, end + 1)
+            ]
+            if any(inverse is not NO_CHANGE for inverse in inverses):
+                return start, inverses
+            end = start
+        return None
+
+    def _redo_target(self) -> int | None:
+        """The end offset of the next effectful group past the head."""
+        start = self._head
+        while start < self.bus.offset:
+            txn = self.bus.event_at(start + 1).txn
+            end = start + 1
+            while (
+                end < self.bus.offset
+                and self.bus.event_at(end + 1).txn == txn
+            ):
+                end += 1
+            if any(
+                self.bus.inverse_for(offset) is not NO_CHANGE
+                for offset in range(start + 1, end + 1)
+            ):
+                return end
+            start = end
+        return None
 
     # -- replay helpers ----------------------------------------------------------
 

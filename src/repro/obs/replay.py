@@ -17,7 +17,7 @@ diverged.
 Since the kernel refactor the audit log is a live tap on the event bus
 and replay is literally kernel event application: this module is a thin
 loop over :func:`repro.kernel.apply.apply_event`, the same engine that
-drives kernel ``checkout``, redo and rollback.  The fingerprint helpers
+drives kernel ``checkout``, undo and redo.  The fingerprint helpers
 moved to :mod:`repro.kernel.apply` and are re-exported here unchanged.
 """
 

@@ -201,3 +201,62 @@ def test_any_prefix_checkout_equals_rerunning_the_prefix(ops, data):
     kernel.checkout(offset)
     assert fingerprint(live) == fingerprint(replay_prefix(events, offset))
     assert kernel.head == offset
+
+
+class _Abort(Exception):
+    """Raised inside a transaction to force its rollback."""
+
+
+# the shared ``operations`` plus the kernel's ways back: a transaction
+# that fails after 1-3 operations, undo and redo
+time_travel_operations = st.one_of(
+    operations,
+    st.tuples(
+        st.just("txn_fail"), st.lists(operations, min_size=1, max_size=3)
+    ),
+    st.tuples(st.just("undo")),
+    st.tuples(st.just("redo")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(time_travel_operations, min_size=1, max_size=10),
+    st.integers(min_value=1, max_value=4),
+)
+def test_rollback_and_time_travel_keep_the_saved_history_true(
+    ops, snapshot_every
+):
+    """Rollbacks, undo and redo leave a log that reloads to the live state.
+
+    After every step, restoring the exported kernel state and checking
+    out its head fingerprints equal to the live session, and a redo that
+    finds nothing to re-apply leaves the head where it was.
+    """
+    from repro.kernel import Kernel
+
+    live = drive([], snapshot_every=snapshot_every)
+    kernel = live.kernel
+    for operation in ops:
+        verb = operation[0]
+        if verb == "txn_fail":
+            try:
+                with kernel.transaction():
+                    for inner in operation[1]:
+                        apply_operation(live, inner)
+                    raise _Abort()
+            except _Abort:
+                pass
+        elif verb == "undo":
+            kernel.undo()
+        elif verb == "redo":
+            head = kernel.head
+            if not kernel.redo():
+                assert kernel.head == head
+        else:
+            apply_operation(live, operation)
+        state = kernel.export_state()
+        restored_kernel = Kernel.restore(state)
+        restored = AnalysisSession(kernel=restored_kernel)
+        restored_kernel.checkout(state["head"])
+        assert fingerprint(restored) == fingerprint(live)

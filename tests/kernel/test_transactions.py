@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.equivalence.session import AnalysisSession
+from repro.tool.session import ToolSession
 from repro.workloads.university import build_sc1, build_sc2
 
 
@@ -73,8 +74,8 @@ class TestRollback:
         )
 
     def test_rollback_covers_non_invertible_events(self, session):
-        # an integrate event records no inverse, so the rollback falls
-        # back to rebuilding the session from the entry state
+        # an integrate event records no inverse; the rollback rebuilds
+        # the session from the entry state and drops the cached result
         kernel = session.kernel
         session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
         before_offset = kernel.bus.offset
@@ -129,3 +130,76 @@ class TestRollback:
         with pytest.raises(Boom):
             with session.kernel.transaction():
                 raise Boom()
+
+
+class TestRollbackAndSnapshots:
+    def test_rolled_back_snapshots_do_not_reach_a_reload(self, tmp_path):
+        # with a snapshot due at every commit, the transaction's inner
+        # groups used to snapshot mid-transaction; the rollback dropped
+        # their events but kept the snapshots, so a later save reloaded
+        # the rolled-back state instead of the live one
+        session = ToolSession()
+        session.adopt_schema(build_sc1())
+        session.adopt_schema(build_sc2())
+        analysis = session.analysis
+        kernel = analysis.kernel
+        kernel.snapshot_every = 1
+        with pytest.raises(Boom):
+            with kernel.transaction():
+                analysis.declare_equivalent(
+                    "sc1.Student.Name", "sc2.Grad_student.Name"
+                )
+                analysis.declare_equivalent(
+                    "sc1.Student.GPA", "sc2.Grad_student.GPA"
+                )
+                raise Boom()
+        kernel.snapshot_every = 64
+        analysis.declare_equivalent(
+            "sc1.Department.Name", "sc2.Department.Name"
+        )
+        path = tmp_path / "session.json"
+        session.save(path)
+        reloaded = ToolSession.load(path)
+        assert state_key(reloaded.analysis) == state_key(analysis)
+        assert all(
+            snapshot.offset <= kernel.bus.offset
+            for snapshot in kernel.snapshots()
+        )
+
+    def test_inner_groups_do_not_snapshot_mid_transaction(self, session):
+        kernel = session.kernel
+        kernel.snapshot_every = 1
+        before = len(kernel.snapshots())
+        with kernel.transaction():
+            session.declare_equivalent(
+                "sc1.Student.Name", "sc2.Grad_student.Name"
+            )
+            session.declare_equivalent(
+                "sc1.Student.GPA", "sc2.Grad_student.GPA"
+            )
+            assert len(kernel.snapshots()) == before
+        # the outermost commit takes the one periodic snapshot
+        assert [s.offset for s in kernel.snapshots()[before:]] == [
+            kernel.head
+        ]
+
+    def test_undo_after_a_published_rollback(self, session):
+        # the rollback rebuilds from the entry state, which renumbers the
+        # equivalence classes (the added attribute moves up); undoing the
+        # declaration before it must still restore the exact memberships
+        from repro.evolution import edit_from_payload
+
+        kernel = session.kernel
+        session.apply_edit("sc1", edit_from_payload(
+            {"kind": "add_attribute", "object": "Student",
+             "attribute": {"name": "Age", "domain": {"kind": "integer"}}}
+        ))
+        session.declare_equivalent("sc1.Student.Name", "sc1.Department.Name")
+        declared = state_key(session)
+        with pytest.raises(Boom):
+            with kernel.transaction():
+                session.remove_from_class("sc1.Student.Name")
+                raise Boom()
+        assert state_key(session) == declared
+        assert kernel.undo()
+        assert session.registry.nontrivial_classes() == []

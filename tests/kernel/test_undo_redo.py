@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.equivalence.session import AnalysisSession
+from repro.errors import ReproError, ToolError
+from repro.tool.session import ToolSession
 from repro.workloads.university import build_sc1, build_sc2
 
 
@@ -124,6 +126,71 @@ class TestRedo:
         assert not kernel.can_redo()
         kernel.undo()
         assert kernel.can_redo()
+
+
+class TestUndoAfterRebuild:
+    def test_undo_after_a_checkout_keeps_equivalences_exact(self, session):
+        from copy import deepcopy
+
+        from repro.evolution import edit_from_payload
+        from repro.kernel import Kernel
+
+        # the added attribute shifts class numbers when a snapshot is
+        # rebuilt, so the declaration's recorded inverse names a class
+        # number another attribute holds after the checkout-undo below
+        session.kernel.snapshot_every = 1
+        session.apply_edit("sc1", edit_from_payload(deepcopy(
+            {"kind": "add_attribute", "object": "Student",
+             "attribute": {"name": "Age", "domain": {"kind": "integer"}}}
+        )))
+        session.declare_equivalent(
+            "sc1.Student.Name", "sc1.Department.Name"
+        )
+        session.integrate("sc1", "sc2")
+        assert session.kernel.undo()  # the integrate: a checkout
+        assert session.kernel.undo()  # the declaration: its inverse
+        assert session.registry.nontrivial_classes() == []
+        state = session.kernel.export_state()
+        restored_kernel = Kernel.restore(state)
+        restored = AnalysisSession(kernel=restored_kernel)
+        restored_kernel.checkout(state["head"])
+        assert state_key(restored) == state_key(session)
+
+    def test_undo_of_an_attribute_drop_restores_its_position(self, session):
+        from repro.evolution import edit_from_payload
+
+        before = state_key(session)
+        session.apply_edit("sc1", edit_from_payload(
+            {"kind": "drop_attribute", "object": "Student",
+             "attribute": "Name"}
+        ))
+        assert session.kernel.undo()
+        assert state_key(session) == before
+
+
+class TestRedoNoOp:
+    def test_failed_redo_leaves_the_head_and_the_wal_alone(self, tmp_path):
+        # a trailing refused assertion is a no-op group: a redo that finds
+        # nothing effectful ahead used to replay it anyway, moving the
+        # head without journaling the move
+        path = tmp_path / "session.json"
+        session = ToolSession.open(path)
+        session.adopt_schema(build_sc1())
+        session.adopt_schema(build_sc2())
+        analysis = session.analysis
+        analysis.specify("sc1.Student", "sc2.Grad_student", 1)
+        analysis.specify("sc1.Student", "sc2.Faculty", 1)
+        with pytest.raises(ReproError):
+            analysis.specify("sc2.Grad_student", "sc2.Faculty", 5)
+        kernel = analysis.kernel
+        session.undo()
+        session.redo()
+        head = kernel.head
+        assert not kernel.can_redo()
+        with pytest.raises(ToolError):
+            session.redo()
+        assert kernel.head == head
+        assert ToolSession.open(path).analysis.kernel.head == kernel.head
 
 
 class TestAuditResnapshot:
