@@ -88,3 +88,50 @@ def compose_sets(
             if len(result) == len(ALL_RELATIONS):
                 return ALL_RELATIONS
     return frozenset(result)
+
+
+# -- relation sets as 5-bit masks ----------------------------------------------
+#
+# The closure's inner loop works on masks: one bit per base relation, so a
+# relation set is an int in 0..31.  Every table below is generated from
+# ``_TABLE`` (through :func:`compose_sets` and :func:`converse_set`), which
+# stays the single spec.
+
+#: The bit of each base relation.
+RELATION_BIT: dict[Relation, int] = {
+    relation: 1 << index for index, relation in enumerate(Relation)
+}
+
+#: The mask of the universal relation set.
+ALL_MASK = (1 << len(RELATION_BIT)) - 1
+
+#: mask -> relation set (index ``ALL_MASK`` is :data:`ALL_RELATIONS` itself).
+MASK_RELATIONS: tuple[frozenset[Relation], ...] = tuple(
+    ALL_RELATIONS
+    if mask == ALL_MASK
+    else frozenset(
+        relation for relation, bit in RELATION_BIT.items() if mask & bit
+    )
+    for mask in range(ALL_MASK + 1)
+)
+
+#: relation set -> mask.
+RELATIONS_MASK: dict[frozenset[Relation], int] = {
+    relations: mask for mask, relations in enumerate(MASK_RELATIONS)
+}
+
+#: ``CONVERSE_MASK[m]`` is the mask of ``converse_set(MASK_RELATIONS[m])``.
+CONVERSE_MASK = bytes(
+    RELATIONS_MASK[converse_set(relations)] for relations in MASK_RELATIONS
+)
+
+#: ``COMPOSE_MASK[a][b]`` is the mask of
+#: ``compose_sets(MASK_RELATIONS[a], MASK_RELATIONS[b])``; like
+#: :func:`compose_sets` it is ``ALL_MASK`` whenever either side is.
+COMPOSE_MASK: tuple[bytes, ...] = tuple(
+    bytes(
+        RELATIONS_MASK[compose_sets(first, second)]
+        for second in MASK_RELATIONS
+    )
+    for first in MASK_RELATIONS
+)

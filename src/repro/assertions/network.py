@@ -15,6 +15,22 @@ pair narrowed to the empty set is a **conflict**, reported with the chain of
 underlying assertions exactly as the Assertion Conflict Resolution Screen
 (Screen 9) does.
 
+Internally the matrix is literal.  :meth:`AssertionNetwork.add_object`
+interns each object class to a dense int id that it keeps for the
+network's lifetime (a removed class that comes back gets its old id).
+Feasible sets are 5-bit relation masks
+(:data:`~repro.assertions.composition.RELATION_BIT`) held in one
+``bytearray`` row per node, and every change writes both ``R(i, j)`` and
+its converse ``R(j, i)``, so path consistency reads masks and composes
+them through the generated 32×32 table
+(:data:`~repro.assertions.composition.COMPOSE_MASK`) without building a
+set, computing a converse or hashing an :class:`ObjectRef`.  Supports,
+the support index and the undo log are keyed by id pairs and triples.
+Frozensets and ``ObjectRef`` pairs appear only at the boundary:
+:meth:`~AssertionNetwork.feasible`,
+:meth:`~AssertionNetwork.feasible_table`, :attr:`Assertion.supports`,
+:meth:`~AssertionNetwork.explain` and :class:`ConflictReport`.
+
 The network maintains itself **incrementally**, matching the tool's
 interactive loop where each DDA action touches one edge:
 
@@ -28,6 +44,9 @@ interactive loop where each DDA action touches one edge:
   the rest of the network is untouched.  (Construct the network with
   ``incremental=False`` to force the old full-rebuild behaviour; the
   benchmarks use it as the baseline.)
+* Derived assertions are refreshed only for the pairs a call touched —
+  its undo-log entries, plus the reset region of a retract — never by a
+  scan of the whole matrix.
 
 Work done either way is tallied in :attr:`counters`
 (:class:`~repro.obs.metrics.AnalysisCounters`).
@@ -36,13 +55,16 @@ Work done either way is tallied in :attr:`counters`
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable
 
 from repro.assertions.assertion import Assertion, Pair, ordered_pair
 from repro.assertions.composition import (
-    ALL_RELATIONS,
-    compose_sets,
-    converse_set,
+    ALL_MASK,
+    COMPOSE_MASK,
+    CONVERSE_MASK,
+    MASK_RELATIONS,
+    RELATION_BIT,
 )
 from repro.assertions.conflicts import ConflictReport
 from repro.assertions.kinds import AssertionKind, Relation, Source
@@ -56,51 +78,56 @@ from repro.obs.trace import span
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.kernel.bus import EventEmitter
 
-#: An oriented support: R(x, y) was narrowed by composing R(x, via), R(via, y).
-_Support = tuple[ObjectRef, ObjectRef, ObjectRef]
+#: An unordered pair of node ids, lower id first.
+_Key = tuple[int, int]
+
+#: An oriented support over node ids: R(x, y) was narrowed by composing
+#: R(x, via) and R(via, y).
+_Support = tuple[int, int, int]
 
 #: Sentinel for "no entry existed before this mutation" in the undo log.
 _ABSENT = object()
+
+
+def _key(x: int, y: int) -> _Key:
+    return (x, y) if x < y else (y, x)
 
 
 class _UndoLog:
     """Prior state of every pair touched by one propagation run.
 
     Propagation mutates the network tables in place; on conflict the log
-    restores them, which is what makes trial-specification cheap (the old
-    implementation copied the whole feasible table per :meth:`specify`).
+    restores them, which is what makes trial-specification cheap.  Its
+    keys are also the pairs whose derived assertions need refreshing.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
-        #: pair -> (old feasible, old last support, old support-index set)
-        self._entries: dict[Pair, tuple[object, object, object]] = {}
+        #: key -> (old mask, old last support, old support-index set)
+        self.entries: dict[_Key, tuple[int, object, object]] = {}
 
-    def remember(self, network: "AssertionNetwork", pair: Pair) -> None:
-        if pair in self._entries:
+    def remember(self, network: "AssertionNetwork", key: _Key) -> None:
+        if key in self.entries:
             return
-        index = network._support_index.get(pair)
-        self._entries[pair] = (
-            network._feasible.get(pair, _ABSENT),
-            network._supports.get(pair, _ABSENT),
+        index = network._support_index.get(key)
+        self.entries[key] = (
+            network._rows[key[0]][key[1]],
+            network._supports.get(key, _ABSENT),
             set(index) if index is not None else _ABSENT,
         )
 
     def rollback(self, network: "AssertionNetwork") -> None:
-        for pair, (feasible, support, index) in self._entries.items():
-            if feasible is _ABSENT:
-                network._feasible.pop(pair, None)
-            else:
-                network._feasible[pair] = feasible  # type: ignore[assignment]
+        for key, (mask, support, index) in self.entries.items():
+            network._put(key[0], key[1], mask)
             if support is _ABSENT:
-                network._supports.pop(pair, None)
+                network._supports.pop(key, None)
             else:
-                network._supports[pair] = support  # type: ignore[assignment]
+                network._supports[key] = support  # type: ignore[assignment]
             if index is _ABSENT:
-                network._support_index.pop(pair, None)
+                network._support_index.pop(key, None)
             else:
-                network._support_index[pair] = index  # type: ignore[assignment]
+                network._support_index[key] = index  # type: ignore[assignment]
 
 
 class AssertionNetwork:
@@ -112,22 +139,26 @@ class AssertionNetwork:
         counters: AnalysisCounters | None = None,
         incremental: bool = True,
     ) -> None:
-        self._objects: list[ObjectRef] = []
-        self._object_set: set[ObjectRef] = set()
-        #: canonical pair -> feasible relation set (missing means ALL)
-        self._feasible: dict[Pair, frozenset[Relation]] = {}
-        #: canonical pair -> the specified (DDA/implicit) assertion
-        self._specified: dict[Pair, Assertion] = {}
+        #: object class -> node id (kept for the network's lifetime)
+        self._ids: dict[ObjectRef, int] = {}
+        #: node id -> object class
+        self._refs: list[ObjectRef] = []
+        #: ids of the registered nodes, in registration order
+        self._live: dict[int, None] = {}
+        #: ``_rows[i][j]`` is the mask of R(i, j); ALL_MASK when unconstrained
+        self._rows: list[bytearray] = []
+        #: pair -> the specified (DDA/implicit) assertion
+        self._specified: dict[_Key, Assertion] = {}
         #: insertion-ordered log of specified assertions (for retraction rebuilds)
         self._log: list[Assertion] = []
-        #: canonical pair -> oriented support triple for its last narrowing
-        self._supports: dict[Pair, _Support] = {}
-        #: canonical pair -> every support triple that narrowed it since it
-        #: was last reset; the reverse reading of this index is the
-        #: dependency graph incremental retraction walks
-        self._support_index: dict[Pair, set[_Support]] = {}
-        #: canonical pair -> derived assertion (singleton, not specified)
-        self._derived: dict[Pair, Assertion] = {}
+        #: pair -> oriented support triple for its last narrowing
+        self._supports: dict[_Key, _Support] = {}
+        #: pair -> every support triple that narrowed it since it was last
+        #: reset; the reverse reading of this index is the dependency graph
+        #: incremental retraction walks
+        self._support_index: dict[_Key, set[_Support]] = {}
+        #: pair -> derived assertion (singleton, not specified)
+        self._derived: dict[_Key, Assertion] = {}
         #: shared work counters (an :class:`AnalysisSession` injects its own)
         self.counters = counters if counters is not None else AnalysisCounters()
         #: whether retract/respecify repair incrementally (False = rebuild)
@@ -142,13 +173,19 @@ class AssertionNetwork:
     def add_object(self, ref: ObjectRef | str) -> None:
         """Register an object class as a network node (idempotent)."""
         ref = coerce_object_ref(ref)
-        if ref not in self._object_set:
-            self._object_set.add(ref)
-            self._objects.append(ref)
+        node = self._ids.get(ref)
+        if node is None:
+            node = len(self._refs)
+            self._ids[ref] = node
+            self._refs.append(ref)
+            for row in self._rows:
+                row.append(ALL_MASK)
+            self._rows.append(bytearray([ALL_MASK]) * (node + 1))
+        self._live.setdefault(node)
 
     def objects(self) -> list[ObjectRef]:
         """All registered object classes, in registration order."""
-        return list(self._objects)
+        return [self._refs[node] for node in self._live]
 
     def remove_object(self, ref: ObjectRef | str) -> list[Assertion]:
         """Drop a node from the network, repairing only its neighborhood.
@@ -168,13 +205,12 @@ class AssertionNetwork:
         schema edit, which is itself the recorded event.
         """
         ref = coerce_object_ref(ref)
-        if ref not in self._object_set:
+        node = self._ids.get(ref)
+        if node is None or node not in self._live:
             return []
         retracted = [
             assertion for assertion in self._log if ref in assertion.pair
         ]
-        from contextlib import nullcontext
-
         suspended = self.events.muted() if self.events is not None else nullcontext()
         with suspended:
             with span("evolution.repair.assertions", counters=self.counters):
@@ -182,24 +218,23 @@ class AssertionNetwork:
                     self.retract(assertion.first, assertion.second)
         # Belt and braces: the retraction closures above already reset every
         # entry that involved (or was supported through) the node, but purge
-        # any residue so a stale reference can never survive the node.
-        for pair in [p for p in self._feasible if ref in p]:
-            del self._feasible[pair]
-        for pair in [p for p in self._supports if ref in p]:
-            del self._supports[pair]
-        for pair in [p for p in self._derived if ref in p]:
-            del self._derived[pair]
-        for pair, supports in list(self._support_index.items()):
-            if ref in pair:
-                del self._support_index[pair]
+        # any residue so a stale constraint can never survive the node.
+        for other in range(len(self._rows)):
+            self._put(node, other, ALL_MASK)
+        for key in [k for k in self._supports if node in k]:
+            del self._supports[key]
+        for key in [k for k in self._derived if node in k]:
+            del self._derived[key]
+        for key, supports in list(self._support_index.items()):
+            if node in key:
+                del self._support_index[key]
                 continue
-            pruned = {s for s in supports if ref not in s}
+            pruned = {s for s in supports if node not in s}
             if not pruned:
-                del self._support_index[pair]
+                del self._support_index[key]
             elif pruned != supports:
-                self._support_index[pair] = pruned
-        self._object_set.discard(ref)
-        self._objects = [obj for obj in self._objects if obj != ref]
+                self._support_index[key] = pruned
+        del self._live[node]
         return retracted
 
     def seed_schema(
@@ -259,41 +294,37 @@ class AssertionNetwork:
         self, first: ObjectRef | str, second: ObjectRef | str
     ) -> frozenset[Relation]:
         """Feasible relations between two objects, oriented first→second."""
-        first = coerce_object_ref(first)
-        second = coerce_object_ref(second)
-        self._require(first)
-        self._require(second)
-        if first == second:
+        x = self._node(coerce_object_ref(first))
+        y = self._node(coerce_object_ref(second))
+        if x == y:
             return frozenset({Relation.EQ})
-        return self._get(self._feasible, first, second)
+        return MASK_RELATIONS[self._rows[x][y]]
 
-    def _require(self, ref: ObjectRef) -> None:
-        if ref not in self._object_set:
+    def _node(self, ref: ObjectRef) -> int:
+        """The id of a registered object class."""
+        node = self._ids.get(ref)
+        if node is None or node not in self._live:
             raise AssertionSpecError(f"object {ref} is not in the network")
+        return node
 
-    @staticmethod
-    def _get(
-        table: dict[Pair, frozenset[Relation]],
-        first: ObjectRef,
-        second: ObjectRef,
-    ) -> frozenset[Relation]:
-        pair = ordered_pair(first, second)
-        stored = table.get(pair, ALL_RELATIONS)
-        if pair != (first, second):
-            return converse_set(stored)
-        return stored
+    def _key_of(self, first: ObjectRef, second: ObjectRef) -> _Key | None:
+        """The pair's key, or ``None`` (never a key) for an unknown object."""
+        x = self._ids.get(first)
+        y = self._ids.get(second)
+        if x is None or y is None:
+            return None
+        return _key(x, y)
 
-    @staticmethod
-    def _set(
-        table: dict[Pair, frozenset[Relation]],
-        first: ObjectRef,
-        second: ObjectRef,
-        relations: frozenset[Relation],
-    ) -> None:
-        pair = ordered_pair(first, second)
-        if pair != (first, second):
-            relations = converse_set(relations)
-        table[pair] = relations
+    def _specified_on(
+        self, first: ObjectRef, second: ObjectRef
+    ) -> Assertion | None:
+        key = self._key_of(first, second)
+        return None if key is None else self._specified.get(key)
+
+    def _put(self, x: int, y: int, mask: int) -> None:
+        """Set R(x, y) and its converse R(y, x)."""
+        self._rows[x][y] = mask
+        self._rows[y][x] = CONVERSE_MASK[mask]
 
     # -- specification ------------------------------------------------------------
 
@@ -322,7 +353,7 @@ class AssertionNetwork:
             kind = AssertionKind.from_code(kind)
         first = coerce_object_ref(first)
         second = coerce_object_ref(second)
-        prior = self._specified.get(ordered_pair(first, second))
+        prior = self._specified_on(first, second)
         try:
             with span("phase3.closure.specify", counters=self.counters):
                 result = self._specify_checked(first, second, kind, source, note)
@@ -393,12 +424,12 @@ class AssertionNetwork:
         source: Source,
         note: str,
     ) -> Assertion:
-        self._require(first)
-        self._require(second)
-        if first == second:
+        x = self._node(first)
+        y = self._node(second)
+        if x == y:
             raise AssertionSpecError(f"cannot assert {first} against itself")
-        pair = ordered_pair(first, second)
-        existing = self._specified.get(pair)
+        key = _key(x, y)
+        existing = self._specified.get(key)
         new = Assertion(first, second, kind, source, note=note)
         if existing is not None:
             oriented = existing.oriented(first, second)
@@ -408,24 +439,28 @@ class AssertionNetwork:
                 f"pair {first}/{second} already carries "
                 f"assertion {oriented.kind.code}; retract or respecify it"
             )
-        current = self.feasible(first, second)
-        if kind.relation not in current:
-            raise ConflictError(self._report_for(new, current))
+        current = self._rows[x][y]
+        bit = RELATION_BIT[kind.relation]
+        if not current & bit:
+            raise ConflictError(self._report_for(new, MASK_RELATIONS[current]))
         undo = _UndoLog()
-        undo.remember(self, pair)
-        self._set(self._feasible, first, second, frozenset({kind.relation}))
-        failure = self._propagate(undo, [(first, second)])
+        undo.remember(self, key)
+        self._put(x, y, bit)
+        failure = self._propagate(undo, [(x, y)])
         if failure is not None:
             # Restore the pre-trial network first so the Screen 9 report is
             # assembled from the committed state, as before.
             undo.rollback(self)
-            raise ConflictError(
-                self._report_for(new, frozenset(), failed_pair=failure)
+            failed_pair = ordered_pair(
+                self._refs[failure[0]], self._refs[failure[1]]
             )
-        self._specified[pair] = new
+            raise ConflictError(
+                self._report_for(new, frozenset(), failed_pair=failed_pair)
+            )
+        self._specified[key] = new
         self._log.append(new)
-        self._derived.pop(pair, None)
-        self._refresh_derived()
+        self._derived.pop(key, None)
+        self._refresh_derived(undo.entries)
         return new
 
     def respecify(
@@ -436,9 +471,29 @@ class AssertionNetwork:
         source: Source = Source.DDA,
         note: str = "",
     ) -> Assertion:
-        """Replace the specified assertion on a pair (review-and-modify)."""
-        self.retract(first, second)
-        return self.specify(first, second, kind, source, note)
+        """Replace the specified assertion on a pair (review-and-modify).
+
+        If the replacement is refused, the pair's previous assertion is
+        specified again before the error propagates, so the network holds
+        the same assertions as before the call.  The retract, the refusal
+        and the restoring specify are all emitted, so history replays to
+        that same state.
+        """
+        first = coerce_object_ref(first)
+        second = coerce_object_ref(second)
+        previous = self._specified_on(first, second)
+        self.retract(first, second)  # raises when ``previous`` is None
+        try:
+            return self.specify(first, second, kind, source, note)
+        except (ConflictError, AssertionSpecError):
+            self.specify(
+                previous.first,
+                previous.second,
+                previous.kind,
+                previous.source,
+                previous.note,
+            )
+            raise
 
     def retract(self, first: ObjectRef | str, second: ObjectRef | str) -> None:
         """Withdraw the specified assertion on a pair and repair the network.
@@ -452,18 +507,18 @@ class AssertionNetwork:
         """
         first = coerce_object_ref(first)
         second = coerce_object_ref(second)
-        pair = ordered_pair(first, second)
-        retracted = self._specified.get(pair)
-        if retracted is None:
+        key = self._key_of(first, second)
+        retracted = None if key is None else self._specified.get(key)
+        if key is None or retracted is None:
             raise AssertionSpecError(
                 f"no specified assertion between {first} and {second}"
             )
         with span("phase3.closure.retract", counters=self.counters):
-            del self._specified[pair]
-            self._log = [a for a in self._log if a.pair != pair]
+            del self._specified[key]
+            self._log = [a for a in self._log if a is not retracted]
             if self.incremental:
                 with span("phase3.closure.repair", counters=self.counters):
-                    self._repair_after_retract(pair)
+                    self._repair_after_retract(key)
             else:
                 self._rebuild()
         if self.events is not None:
@@ -483,7 +538,7 @@ class AssertionNetwork:
                 ),
             )
 
-    def _repair_after_retract(self, root: Pair) -> None:
+    def _repair_after_retract(self, root: _Key) -> None:
         """Reset and re-derive only the pairs that depended on ``root``.
 
         The support index records, per pair, every triangle that narrowed
@@ -503,77 +558,94 @@ class AssertionNetwork:
         than re-running path consistency over the whole touched frontier.
         Removing a constraint cannot introduce a conflict, so this never
         fails.
+
+        Every set here holds id pairs, whose iteration order does not
+        depend on the string hash seed, so neither does the work done.
         """
         self.counters.closure_incremental_retracts += 1
-        dependents: dict[Pair, set[Pair]] = {}
+        dependents: dict[_Key, set[_Key]] = {}
         for narrowed, supports in self._support_index.items():
             for x, via, y in supports:
-                dependents.setdefault(ordered_pair(x, via), set()).add(narrowed)
-                dependents.setdefault(ordered_pair(via, y), set()).add(narrowed)
+                dependents.setdefault(_key(x, via), set()).add(narrowed)
+                dependents.setdefault(_key(via, y), set()).add(narrowed)
         affected = {root}
         stack = [root]
         while stack:
-            pair = stack.pop()
-            for dependent in dependents.get(pair, ()):
+            key = stack.pop()
+            for dependent in dependents.get(key, ()):
                 if dependent not in affected:
                     affected.add(dependent)
                     stack.append(dependent)
-        for pair in affected:
-            self._feasible.pop(pair, None)
-            self._supports.pop(pair, None)
-            self._support_index.pop(pair, None)
-            self._derived.pop(pair, None)
+        refs = self._refs
+        for key in affected:
+            self._put(key[0], key[1], ALL_MASK)
+            self._supports.pop(key, None)
+            self._support_index.pop(key, None)
+            self._derived.pop(key, None)
         self.counters.closure_pairs_recomputed += len(affected)
-        for pair in affected:
-            survivor = self._specified.get(pair)
+        for key in affected:
+            survivor = self._specified.get(key)
             if survivor is not None:
-                self._set(
-                    self._feasible,
-                    survivor.first,
-                    survivor.second,
-                    frozenset({survivor.relation}),
+                self._put(
+                    self._ids[survivor.first],
+                    self._ids[survivor.second],
+                    RELATION_BIT[survivor.relation],
                 )
         undo = _UndoLog()
-        neighbours: dict[ObjectRef, set[Pair]] = {}
-        for pair in affected:
-            neighbours.setdefault(pair[0], set()).add(pair)
-            neighbours.setdefault(pair[1], set()).add(pair)
-        queue: deque[Pair] = deque(affected)
+        neighbours: dict[int, set[_Key]] = {}
+        # each pair is revised in its ObjectRef order, so the supports it
+        # records, and the explain chains read from them, keep that order
+        oriented: dict[_Key, _Key] = {}
+        for key in affected:
+            neighbours.setdefault(key[0], set()).add(key)
+            neighbours.setdefault(key[1], set()).add(key)
+            x, y = key
+            oriented[key] = (y, x) if refs[y] < refs[x] else key
+        rows = self._rows
+        live = self._live
+        steps = 0
+        queue: deque[_Key] = deque(affected)
         queued = set(affected)
-        while queue:
-            pair = queue.popleft()
-            queued.discard(pair)
-            first, second = pair
-            changed = False
-            for via in self._objects:
-                if via == first or via == second:
-                    continue
-                narrowed = self._narrow(
-                    undo,
-                    first,
-                    second,
-                    via,
-                    self._get(self._feasible, first, via),
-                    self._get(self._feasible, via, second),
-                )
-                if narrowed is False:  # pragma: no cover - only relaxes
-                    undo.rollback(self)
-                    self._rebuild()
-                    return
-                if narrowed:
+        try:
+            while queue:
+                key = queue.popleft()
+                queued.discard(key)
+                first, second = oriented[key]
+                row_first = rows[first]
+                changed = False
+                for via in live:
+                    if via == first or via == second:
+                        continue
+                    rel_first_via = row_first[via]
+                    rel_via_second = rows[via][second]
+                    if rel_first_via == ALL_MASK and rel_via_second == ALL_MASK:
+                        continue
+                    steps += 1
+                    old = row_first[second]
+                    new = old & COMPOSE_MASK[rel_first_via][rel_via_second]
+                    if new == old:
+                        continue
+                    self._narrow(undo, first, second, via, new)
+                    if not new:  # pragma: no cover - only relaxes
+                        undo.rollback(self)
+                        self._rebuild()
+                        return
                     changed = True
-            if changed:
-                for other in neighbours[first] | neighbours[second]:
-                    if other != pair and other not in queued:
-                        queue.append(other)
-                        queued.add(other)
-        self._refresh_derived()
+                if changed:
+                    for other in neighbours[key[0]] | neighbours[key[1]]:
+                        if other != key and other not in queued:
+                            queue.append(other)
+                            queued.add(other)
+        finally:
+            self.counters.propagation_steps += steps
+        self._refresh_derived(affected.union(undo.entries))
 
     def _rebuild(self) -> None:
         """Full re-propagation from the specified log (the baseline path)."""
         self.counters.closure_full_rebuilds += 1
         remaining = list(self._log)
-        self._feasible = {}
+        size = len(self._refs)
+        self._rows = [bytearray([ALL_MASK]) * size for _ in range(size)]
         self._supports = {}
         self._support_index = {}
         self._derived = {}
@@ -581,8 +653,6 @@ class AssertionNetwork:
         self._log = []
         # Suspend event emission: re-specifying the surviving log is
         # internal repair, not new DDA input, and must not be recorded twice.
-        from contextlib import nullcontext
-
         suspended = self.events.muted() if self.events is not None else nullcontext()
         with suspended:
             with span("phase3.closure.rebuild", counters=self.counters):
@@ -600,94 +670,105 @@ class AssertionNetwork:
     def _propagate(
         self,
         undo: _UndoLog,
-        seeds: Iterable[tuple[ObjectRef, ObjectRef]],
-    ) -> Pair | None:
+        seeds: Iterable[_Key],
+    ) -> _Key | None:
         """Queue-based path consistency over the live tables.
 
         Narrows feasible sets along every triangle reachable from the seed
-        pairs, mutating ``self._feasible``/``self._supports`` in place and
-        recording prior values in ``undo``.  Returns the canonical pair
-        that became empty on failure (callers roll back), or ``None``.
+        pairs (oriented id pairs), mutating the rows and supports in place
+        and recording prior values in ``undo``.  A narrowing is skipped,
+        uncounted, when both legs are universal.  Returns the oriented
+        pair that became empty on failure (callers roll back), or ``None``.
         """
-        queue: deque[tuple[ObjectRef, ObjectRef]] = deque(seeds)
-        while queue:
-            i, j = queue.popleft()
-            rel_ij = self._get(self._feasible, i, j)
-            for k in self._objects:
-                if k == i or k == j:
-                    continue
-                # Narrow (i, k) through j: R(i,k) ∩= R(i,j) ∘ R(j,k).
-                rel_jk = self._get(self._feasible, j, k)
-                narrowed = self._narrow(undo, i, k, j, rel_ij, rel_jk)
-                if narrowed is False:
-                    return ordered_pair(i, k)
-                if narrowed:
-                    queue.append((i, k))
-                # Narrow (k, j) through i: R(k,j) ∩= R(k,i) ∘ R(i,j).
-                rel_ki = self._get(self._feasible, k, i)
-                narrowed = self._narrow(undo, k, j, i, rel_ki, rel_ij)
-                if narrowed is False:
-                    return ordered_pair(k, j)
-                if narrowed:
-                    queue.append((k, j))
-        return None
+        rows = self._rows
+        live = self._live
+        narrow = self._narrow
+        steps = 0
+        queue: deque[_Key] = deque(seeds)
+        try:
+            while queue:
+                i, j = queue.popleft()
+                row_i = rows[i]
+                row_j = rows[j]
+                ij_universal = row_i[j] == ALL_MASK
+                compose_ij = COMPOSE_MASK[row_i[j]]
+                compose_ji = COMPOSE_MASK[row_j[i]]
+                for k in live:
+                    if k == i or k == j:
+                        continue
+                    rel_ik = row_i[k]
+                    rel_jk = row_j[k]
+                    # Narrow (i, k) through j: R(i,k) ∩= R(i,j) ∘ R(j,k).
+                    if not (ij_universal and rel_jk == ALL_MASK):
+                        steps += 1
+                        new = rel_ik & compose_ij[rel_jk]
+                        if new != rel_ik:
+                            narrow(undo, i, k, j, new)
+                            if not new:
+                                return (i, k)
+                            queue.append((i, k))
+                            rel_ik = new
+                    # Narrow (k, j) through i: R(k,j) ∩= R(k,i) ∘ R(i,j),
+                    # computed as its converse R(j,k) ∩= R(j,i) ∘ R(i,k)
+                    # so both legs come from the rows already in hand.
+                    if not (ij_universal and rel_ik == ALL_MASK):
+                        steps += 1
+                        new = rel_jk & compose_ji[rel_ik]
+                        if new != rel_jk:
+                            narrow(undo, k, j, i, CONVERSE_MASK[new])
+                            if not new:
+                                return (k, j)
+                            queue.append((k, j))
+            return None
+        finally:
+            self.counters.propagation_steps += steps
 
     def _narrow(
-        self,
-        undo: _UndoLog,
-        x: ObjectRef,
-        y: ObjectRef,
-        via: ObjectRef,
-        rel_x_via: frozenset[Relation],
-        rel_via_y: frozenset[Relation],
-    ) -> bool | None:
-        """Intersect R(x,y) with R(x,via) ∘ R(via,y); record the support.
-
-        Returns ``None`` if the set did not change, ``True`` if it shrank
-        but stayed non-empty, and ``False`` if it became empty (conflict).
-        """
-        if rel_x_via == ALL_RELATIONS and rel_via_y == ALL_RELATIONS:
-            return None
-        old = self._get(self._feasible, x, y)
-        self.counters.propagation_steps += 1
-        composed = compose_sets(rel_x_via, rel_via_y)
-        new = old & composed
-        if new == old:
-            return None
-        pair = ordered_pair(x, y)
-        undo.remember(self, pair)
-        self._set(self._feasible, x, y, new)
-        self._supports[pair] = (x, via, y)
-        self._support_index.setdefault(pair, set()).add((x, via, y))
-        if not new:
-            return False
-        return True
+        self, undo: _UndoLog, x: int, y: int, via: int, new: int
+    ) -> None:
+        """Set R(x,y) to ``new``, narrowed through ``via``; record the support."""
+        key = _key(x, y)
+        undo.remember(self, key)
+        self._put(x, y, new)
+        support = (x, via, y)
+        self._supports[key] = support
+        index = self._support_index.get(key)
+        if index is None:
+            self._support_index[key] = {support}
+        else:
+            index.add(support)
 
     # -- assertions and derivations ---------------------------------------------
 
-    def _refresh_derived(self) -> None:
-        """Materialise derived assertions for newly singleton pairs."""
-        for pair, relations in self._feasible.items():
-            if len(relations) != 1 or pair in self._specified:
+    def _refresh_derived(self, touched: Iterable[_Key]) -> None:
+        """Materialise derived assertions for newly singleton touched pairs."""
+        refs = self._refs
+        for key in touched:
+            if key in self._specified or key in self._derived:
                 continue
-            if pair in self._derived:
+            x, y = key
+            if len(MASK_RELATIONS[self._rows[x][y]]) != 1:
                 continue
-            relation = next(iter(relations))
-            first, second = pair
+            if refs[y] < refs[x]:
+                x, y = y, x
+            (relation,) = MASK_RELATIONS[self._rows[x][y]]
             kind = (
                 AssertionKind.DISJOINT_INTEGRABLE
                 if relation is Relation.DR
                 else AssertionKind.from_relation(relation)
             )
             decided = relation not in (Relation.DR, Relation.PO)
-            support = self._supports.get(pair)
+            support = self._supports.get(key)
             support_pairs: tuple[Pair, ...] = ()
             if support is not None:
-                x, via, y = support
-                support_pairs = (ordered_pair(x, via), ordered_pair(via, y))
-            self._derived[pair] = Assertion(
-                first,
-                second,
+                sx, via, sy = support
+                support_pairs = (
+                    ordered_pair(refs[sx], refs[via]),
+                    ordered_pair(refs[via], refs[sy]),
+                )
+            self._derived[key] = Assertion(
+                refs[x],
+                refs[y],
                 kind,
                 Source.DERIVED,
                 supports=support_pairs,
@@ -700,8 +781,10 @@ class AssertionNetwork:
         """The specified or derived assertion on a pair, oriented, if any."""
         first = coerce_object_ref(first)
         second = coerce_object_ref(second)
-        pair = ordered_pair(first, second)
-        assertion = self._specified.get(pair) or self._derived.get(pair)
+        key = self._key_of(first, second)
+        if key is None:
+            return None
+        assertion = self._specified.get(key) or self._derived.get(key)
         if assertion is None:
             return None
         return assertion.oriented(first, second)
@@ -712,7 +795,7 @@ class AssertionNetwork:
 
     def derived_assertions(self) -> list[Assertion]:
         """All derived (singleton, unspecified) assertions."""
-        return [self._derived[pair] for pair in sorted(self._derived)]
+        return sorted(self._derived.values(), key=lambda a: a.pair)
 
     def all_assertions(self) -> list[Assertion]:
         """Specified assertions followed by derived ones."""
@@ -731,11 +814,19 @@ class AssertionNetwork:
         batch solver (:mod:`repro.solver`) produces the same shape, which
         is how the equivalence tests compare the two engines.
         """
-        return {
-            pair: relations
-            for pair, relations in self._feasible.items()
-            if relations != ALL_RELATIONS
-        }
+        refs = self._refs
+        live = list(self._live)
+        table: dict[Pair, frozenset[Relation]] = {}
+        for index, x in enumerate(live):
+            row = self._rows[x]
+            for y in live[index + 1 :]:
+                if row[y] == ALL_MASK:
+                    continue
+                first, second = (x, y) if refs[x] < refs[y] else (y, x)
+                table[(refs[first], refs[second])] = MASK_RELATIONS[
+                    self._rows[first][second]
+                ]
+        return table
 
     # -- explanation ---------------------------------------------------------------
 
@@ -749,28 +840,29 @@ class AssertionNetwork:
         down to specified assertions — the lines Screen 9 lists under a
         derived conflict.
         """
-        first = coerce_object_ref(first)
-        second = coerce_object_ref(second)
+        start = self._key_of(coerce_object_ref(first), coerce_object_ref(second))
         chain: list[Assertion] = []
-        seen_pairs: set[Pair] = set()
+        if start is None:
+            return chain
+        seen: set[_Key] = set()
 
-        def walk(x: ObjectRef, y: ObjectRef) -> None:
-            pair = ordered_pair(x, y)
-            if pair in seen_pairs:
+        def walk(x: int, y: int) -> None:
+            key = _key(x, y)
+            if key in seen:
                 return
-            seen_pairs.add(pair)
-            specified = self._specified.get(pair)
+            seen.add(key)
+            specified = self._specified.get(key)
             if specified is not None:
                 chain.append(specified)
                 return
-            support = self._supports.get(pair)
+            support = self._supports.get(key)
             if support is None:
                 return
             sx, via, sy = support
             walk(sx, via)
             walk(via, sy)
 
-        walk(first, second)
+        walk(*start)
         return chain
 
     def _report_for(

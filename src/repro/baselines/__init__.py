@@ -7,7 +7,8 @@
 * :mod:`repro.baselines.strategies` — integration-order strategies for
   n-ary integration; and
 * :mod:`repro.baselines.solver_baselines` — the incremental-closure
-  oracle the batch constraint solver is checked against; and
+  oracle the batch constraint solver is checked against, and the naive
+  path-consistency fixpoint the network itself is checked against; and
 * :mod:`repro.baselines.evolution_baselines` — the from-scratch rebuild
   oracle incremental schema-evolution repair is pinned to.
 """
@@ -28,6 +29,7 @@ from repro.baselines.solver_baselines import (
     OracleOutcome,
     closure_oracle,
     derived_keys,
+    naive_closure,
     objects_of,
 )
 from repro.baselines.evolution_baselines import (
@@ -43,6 +45,7 @@ __all__ = [
     "OracleOutcome",
     "closure_oracle",
     "derived_keys",
+    "naive_closure",
     "objects_of",
     "all_cross_pairs",
     "ordering_alphabetical",

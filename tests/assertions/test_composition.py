@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.assertions.composition import (
+    ALL_MASK,
     ALL_RELATIONS,
+    COMPOSE_MASK,
+    CONVERSE_MASK,
+    MASK_RELATIONS,
+    RELATIONS_MASK,
     compose,
     compose_sets,
     converse,
@@ -94,6 +99,28 @@ class TestComposeSets:
 
     def test_empty_left(self):
         assert compose_sets(frozenset(), frozenset({Relation.PP})) == frozenset()
+
+
+class TestMaskTables:
+    def test_masks_and_sets_round_trip(self):
+        assert MASK_RELATIONS[ALL_MASK] is ALL_RELATIONS
+        assert len(set(MASK_RELATIONS)) == ALL_MASK + 1
+        for mask, relations in enumerate(MASK_RELATIONS):
+            assert RELATIONS_MASK[relations] == mask
+
+    def test_every_mask_pair_composes_like_compose_sets(self):
+        for first in range(1, ALL_MASK + 1):
+            for second in range(1, ALL_MASK + 1):
+                expected = compose_sets(
+                    MASK_RELATIONS[first], MASK_RELATIONS[second]
+                )
+                assert MASK_RELATIONS[COMPOSE_MASK[first][second]] == expected
+
+    def test_every_mask_converts_like_converse_set(self):
+        for mask in range(1, ALL_MASK + 1):
+            assert MASK_RELATIONS[CONVERSE_MASK[mask]] == converse_set(
+                MASK_RELATIONS[mask]
+            )
 
 
 @given(nonempty_sets, nonempty_sets, nonempty_sets)

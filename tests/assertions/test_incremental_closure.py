@@ -9,6 +9,10 @@ did less work.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -160,3 +164,37 @@ class TestEquivalenceWithFullRebuild:
         with pytest.raises(ConflictError):
             network.specify(a, c, AssertionKind.DISJOINT_NONINTEGRABLE)
         assert state_of(network) == before
+
+
+#: One incremental retract on the EXP-CLO world (the yardstick the
+#: benchmark overhead gates divide by); prints its propagation steps.
+_EXP_CLO_RETRACT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from harness import exp_clo_closure
+_, network, target = exp_clo_closure()
+before = network.counters.propagation_steps
+network.retract(target.first, target.second)
+print(network.counters.propagation_steps - before)
+"""
+
+
+def test_retract_work_does_not_depend_on_the_string_hash_seed():
+    repo = Path(__file__).resolve().parents[2]
+
+    def steps(hash_seed: str) -> int:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _EXP_CLO_RETRACT, str(repo / "benchmarks")],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        return int(result.stdout)
+
+    assert steps("0") == steps("2")

@@ -202,6 +202,32 @@ class TestRetraction:
         network.specify(a, c, 0)  # now accepted
         assert network.assertion_for(a, c).kind.code == 0
 
+    def test_refused_respecify_keeps_the_previous_assertion(self):
+        from repro.baselines import state_payload_fingerprint
+        from repro.ecr.builder import SchemaBuilder
+        from repro.equivalence.session import AnalysisSession
+
+        key = [("K", "char", True)]
+        session = AnalysisSession(
+            [
+                SchemaBuilder("a").entity("A", attrs=key).entity("B", attrs=key).build(),
+                SchemaBuilder("b").entity("C", attrs=key).build(),
+            ]
+        )
+        session.specify("a.A", "b.C", 2)
+        session.specify("a.B", "b.C", 1)
+        session.specify("a.A", "a.B", 2)
+        before = state_payload_fingerprint(session)
+        with pytest.raises(ConflictError) as refused:
+            session.respecify("b.C", "a.B", 0)
+        assert refused.value.report.new.kind is AssertionKind.DISJOINT_NONINTEGRABLE
+        kept = session.assertion_for("a.B", "b.C")
+        assert (kept.kind, kept.source) == (AssertionKind.EQUALS, Source.DDA)
+        assert state_payload_fingerprint(session) == before
+        # what the refusal published replays to the same state
+        session.kernel.checkout(session.kernel.head)
+        assert state_payload_fingerprint(session) == before
+
 
 class TestSeeding:
     def test_categories_seed_contained_in(self, sc4):
@@ -346,3 +372,68 @@ class TestDeepDerivationChains:
         assert report.new.kind is AssertionKind.CONTAINED_IN
         text = str(report)
         assert "conflict" in text
+
+
+# -- the closure against an independent oracle -----------------------------------
+
+_VERBS = ("specify", "specify", "respecify", "retract", "remove", "add")
+
+
+@st.composite
+def closure_scripts(draw):
+    """A world of 4-8 sets plus a script over them.
+
+    A step's kind is the world's true relation (``None``) or a random
+    code, so scripts both grow consistent networks and hit conflicts.
+    """
+    world = draw(consistent_worlds().filter(lambda sets: len(sets) >= 4))
+    world += [
+        draw(st.frozensets(st.integers(0, 5), min_size=1))
+        for _ in range(draw(st.integers(0, 8 - len(world))))
+    ]
+    step = st.tuples(
+        st.sampled_from(_VERBS),
+        st.integers(0, len(world) - 1),
+        st.integers(0, len(world) - 1),
+        st.one_of(st.none(), st.sampled_from(list(AssertionKind))),
+    )
+    return world, draw(st.lists(step, max_size=30))
+
+
+@settings(deadline=None, max_examples=150)
+@given(closure_scripts())
+def test_closure_matches_the_naive_fixpoint_after_every_step(drawn):
+    """After every specify/respecify/retract/remove/re-add, the feasible
+    table and the derived assertions equal a naive all-triangles fixpoint
+    over the specified assertions."""
+    from repro.baselines import naive_closure
+
+    world, script = drawn
+    refs = [ObjectRef("w", f"S{i}") for i in range(len(world))]
+    network = AssertionNetwork()
+    for ref in refs:
+        network.add_object(ref)
+    for verb, i, j, kind in script:
+        if kind is None:
+            kind = _actual_kind(world[i], world[j])
+        try:
+            if verb == "specify":
+                network.specify(refs[i], refs[j], kind)
+            elif verb == "respecify":
+                network.respecify(refs[i], refs[j], kind)
+            elif verb == "retract":
+                network.retract(refs[i], refs[j])
+            elif verb == "remove":
+                network.remove_object(refs[i])
+            else:
+                network.add_object(refs[i])
+        except (AssertionSpecError, ConflictError):
+            pass
+        closure = naive_closure(network.objects(), network.specified_assertions())
+        assert closure is not None
+        table, derived = closure
+        assert network.feasible_table() == table
+        assert {
+            (assertion.pair, assertion.kind.code)
+            for assertion in network.derived_assertions()
+        } == derived
