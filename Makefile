@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-deprecations serve bench example
+.PHONY: test test-deprecations serve bench example perf
 
 ## Tier-1: the full unit/integration/e2e suite.
 test:
@@ -77,6 +77,23 @@ smoke:
 		$(MAKE) --no-print-directory $$name-smoke || failed="$$failed $$name-smoke"; \
 	done; \
 	if [ -n "$$failed" ]; then echo "smoke FAILED:$$failed" >&2; exit 1; fi
+
+## The runs a performance change quotes (perfbench/README.md): each
+## gated workload untraced at seed 1 and at the held-out seed 7919, then
+## a traced seed-1 sitting for the per-layer figures and exact counts.
+PERF_SEEDS := 1 7919
+PERF_WORKLOADS := sitting service_hot
+PERF_SECONDS := 12
+
+perf:
+	@for seed in $(PERF_SEEDS); do \
+		for workload in $(PERF_WORKLOADS); do \
+			$(PYTHON) perfbench/run.py --workload $$workload --seed $$seed \
+				--seconds $(PERF_SECONDS) --trace 0 || exit 1; \
+		done; \
+	done
+	$(PYTHON) perfbench/run.py --workload sitting --seed 1 \
+		--seconds $(PERF_SECONDS) --trace 1
 
 ## Run the integration service locally (demo token demo:demo-token).
 serve:

@@ -135,3 +135,12 @@ COMPOSE_MASK: tuple[bytes, ...] = tuple(
     )
     for first in MASK_RELATIONS
 )
+
+#: ``COMPOSE_TRANSLATE[a]`` is ``COMPOSE_MASK[a]`` as a 256-byte
+#: :meth:`bytes.translate` table, so one call composes ``a`` with every
+#: mask of a row at once; bytes above ``ALL_MASK`` never occur in a row
+#: and map to ``ALL_MASK``.
+COMPOSE_TRANSLATE: tuple[bytes, ...] = tuple(
+    composed + bytes([ALL_MASK]) * (256 - len(composed))
+    for composed in COMPOSE_MASK
+)

@@ -22,10 +22,16 @@ Feasible sets are 5-bit relation masks
 (:data:`~repro.assertions.composition.RELATION_BIT`) held in one
 ``bytearray`` row per node, and every change writes both ``R(i, j)`` and
 its converse ``R(j, i)``, so path consistency reads masks and composes
-them through the generated 32×32 table
-(:data:`~repro.assertions.composition.COMPOSE_MASK`) without building a
-set, computing a converse or hashing an :class:`ObjectRef`.  Supports,
-the support index and the undo log are keyed by id pairs and triples.
+them through tables generated from the RCC-5 table without building a
+set, computing a converse or hashing an :class:`ObjectRef`.  It works a
+row at a time: revising a pair (i, j) against every third object is two
+``bytes.translate`` calls through
+:data:`~repro.assertions.composition.COMPOSE_TRANSLATE` and two ANDs of
+whole rows read as ints, and only the columns that changed go through
+Python, in live order, so supports, failures and step counts are those
+of a loop over the third objects (see :meth:`AssertionNetwork._propagate`).
+Supports, the support index and the undo log are keyed by id pairs and
+triples.
 Frozensets and ``ObjectRef`` pairs appear only at the boundary:
 :meth:`~AssertionNetwork.feasible`,
 :meth:`~AssertionNetwork.feasible_table`, :attr:`Assertion.supports`,
@@ -54,6 +60,7 @@ Work done either way is tallied in :attr:`counters`
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable
@@ -62,6 +69,7 @@ from repro.assertions.assertion import Assertion, Pair, ordered_pair
 from repro.assertions.composition import (
     ALL_MASK,
     COMPOSE_MASK,
+    COMPOSE_TRANSLATE,
     CONVERSE_MASK,
     MASK_RELATIONS,
     RELATION_BIT,
@@ -87,6 +95,9 @@ _Support = tuple[int, int, int]
 
 #: Sentinel for "no entry existed before this mutation" in the undo log.
 _ABSENT = object()
+
+#: A non-zero byte: the changed columns of a row diff.
+_NONZERO = re.compile(rb"[^\x00]")
 
 
 def _key(x: int, y: int) -> _Key:
@@ -145,6 +156,8 @@ class AssertionNetwork:
         self._refs: list[ObjectRef] = []
         #: ids of the registered nodes, in registration order
         self._live: dict[int, None] = {}
+        #: node id -> rank in ``_live`` (``None`` until next needed)
+        self._ranks: list[int] | None = None
         #: ``_rows[i][j]`` is the mask of R(i, j); ALL_MASK when unconstrained
         self._rows: list[bytearray] = []
         #: pair -> the specified (DDA/implicit) assertion
@@ -181,7 +194,9 @@ class AssertionNetwork:
             for row in self._rows:
                 row.append(ALL_MASK)
             self._rows.append(bytearray([ALL_MASK]) * (node + 1))
-        self._live.setdefault(node)
+        if node not in self._live:
+            self._live[node] = None
+            self._ranks = None
 
     def objects(self) -> list[ObjectRef]:
         """All registered object classes, in registration order."""
@@ -235,6 +250,7 @@ class AssertionNetwork:
             elif pruned != supports:
                 self._support_index[key] = pruned
         del self._live[node]
+        self._ranks = None
         return retracted
 
     def seed_schema(
@@ -672,16 +688,40 @@ class AssertionNetwork:
         undo: _UndoLog,
         seeds: Iterable[_Key],
     ) -> _Key | None:
-        """Queue-based path consistency over the live tables.
+        """Queue-based path consistency over the live tables, a row at a time.
 
         Narrows feasible sets along every triangle reachable from the seed
         pairs (oriented id pairs), mutating the rows and supports in place
-        and recording prior values in ``undo``.  A narrowing is skipped,
-        uncounted, when both legs are universal.  Returns the oriented
-        pair that became empty on failure (callers roll back), or ``None``.
+        and recording prior values in ``undo``.  Returns the oriented pair
+        that became empty on failure (callers roll back), or ``None``.
+
+        A pop of (i, j) revises every third object k at once with two row
+        operations on whole rows read as big ints:
+
+        * ``R(i,·) ∩= R(i,j) ∘ R(j,·)``: row j translated through
+          :data:`~repro.assertions.composition.COMPOSE_TRANSLATE`, then
+          ANDed into row i;
+        * ``R(j,·) ∩= R(j,i) ∘ R(i,·)`` over the *narrowed* row i, which
+          is the converse form of ``R(·,j) ∩= R(·,i) ∘ R(i,j)``.
+
+        Columns i and j are kept as they were (the diagonal and the pair
+        itself are not revised).  Removed columns and the diagonal are
+        universal and composition with a universal leg is universal, so
+        only live third objects can change.  The changed columns are then
+        applied one by one in live order, narrow (i, k) before (k, j), so
+        the supports, the undo log, the queue and the first empty pair are
+        exactly those of a loop over the live objects.
+
+        ``counters.propagation_steps`` counts what that loop counts: one
+        step per narrowing with a non-universal leg.  A pop of a universal
+        pair narrows nothing and counts its rows' non-universal entries;
+        any other pop counts two steps per third object, and a failing
+        one only up to the failing leg.
         """
         rows = self._rows
-        live = self._live
+        size = len(rows)
+        width = 2 * (len(self._live) - 2)
+        ranks = self._live_ranks()
         narrow = self._narrow
         steps = 0
         queue: deque[_Key] = deque(seeds)
@@ -690,38 +730,74 @@ class AssertionNetwork:
                 i, j = queue.popleft()
                 row_i = rows[i]
                 row_j = rows[j]
-                ij_universal = row_i[j] == ALL_MASK
-                compose_ij = COMPOSE_MASK[row_i[j]]
-                compose_ji = COMPOSE_MASK[row_j[i]]
-                for k in live:
-                    if k == i or k == j:
-                        continue
-                    rel_ik = row_i[k]
-                    rel_jk = row_j[k]
-                    # Narrow (i, k) through j: R(i,k) ∩= R(i,j) ∘ R(j,k).
-                    if not (ij_universal and rel_jk == ALL_MASK):
-                        steps += 1
-                        new = rel_ik & compose_ij[rel_jk]
-                        if new != rel_ik:
+                rel_ij = row_i[j]
+                if rel_ij == ALL_MASK:
+                    steps += (
+                        2 * size - row_i.count(ALL_MASK) - row_j.count(ALL_MASK)
+                    )
+                    continue
+                keep = (0xFF << 8 * i) | (0xFF << 8 * j)
+                old_i = int.from_bytes(row_i, "little")
+                new_i = old_i & (
+                    int.from_bytes(
+                        row_j.translate(COMPOSE_TRANSLATE[rel_ij]), "little"
+                    )
+                    | keep
+                )
+                new_i_row = new_i.to_bytes(size, "little")
+                old_j = int.from_bytes(row_j, "little")
+                new_j = old_j & (
+                    int.from_bytes(
+                        new_i_row.translate(COMPOSE_TRANSLATE[row_j[i]]),
+                        "little",
+                    )
+                    | keep
+                )
+                changed = (old_i ^ new_i) | (old_j ^ new_j)
+                if changed:
+                    new_j_row = new_j.to_bytes(size, "little")
+                    columns = [
+                        match.start()
+                        for match in _NONZERO.finditer(
+                            changed.to_bytes(size, "little")
+                        )
+                    ]
+                    columns.sort(key=ranks.__getitem__)
+                    for k in columns:
+                        new = new_i_row[k]
+                        if new != row_i[k]:
                             narrow(undo, i, k, j, new)
                             if not new:
+                                steps += self._steps_before(ranks, i, j, k) + 1
                                 return (i, k)
                             queue.append((i, k))
-                            rel_ik = new
-                    # Narrow (k, j) through i: R(k,j) ∩= R(k,i) ∘ R(i,j),
-                    # computed as its converse R(j,k) ∩= R(j,i) ∘ R(i,k)
-                    # so both legs come from the rows already in hand.
-                    if not (ij_universal and rel_ik == ALL_MASK):
-                        steps += 1
-                        new = rel_jk & compose_ji[rel_ik]
-                        if new != rel_jk:
+                        new = new_j_row[k]
+                        if new != row_j[k]:
                             narrow(undo, k, j, i, CONVERSE_MASK[new])
                             if not new:
+                                steps += self._steps_before(ranks, i, j, k) + 2
                                 return (k, j)
                             queue.append((k, j))
+                steps += width
             return None
         finally:
             self.counters.propagation_steps += steps
+
+    @staticmethod
+    def _steps_before(ranks: list[int], i: int, j: int, k: int) -> int:
+        """Steps a pop of (i, j) takes over the third objects before k."""
+        rank = ranks[k]
+        return 2 * (rank - (ranks[i] < rank) - (ranks[j] < rank))
+
+    def _live_ranks(self) -> list[int]:
+        """Each node id's position in live (registration) order."""
+        ranks = self._ranks
+        if ranks is None:
+            ranks = [0] * len(self._refs)
+            for rank, node in enumerate(self._live):
+                ranks[node] = rank
+            self._ranks = ranks
+        return ranks
 
     def _narrow(
         self, undo: _UndoLog, x: int, y: int, via: int, new: int
@@ -794,8 +870,18 @@ class AssertionNetwork:
         return list(self._log)
 
     def derived_assertions(self) -> list[Assertion]:
-        """All derived (singleton, unspecified) assertions."""
-        return sorted(self._derived.values(), key=lambda a: a.pair)
+        """All derived (singleton, unspecified) assertions, by pair."""
+        # a derived assertion is stored in pair order (first < second);
+        # comparing plain strings skips the dataclass comparisons
+        return sorted(
+            self._derived.values(),
+            key=lambda a: (
+                a.first.schema,
+                a.first.object_name,
+                a.second.schema,
+                a.second.object_name,
+            ),
+        )
 
     def all_assertions(self) -> list[Assertion]:
         """Specified assertions followed by derived ones."""

@@ -169,15 +169,33 @@ class OcsMatrix:
 
     def count(self, row: ObjectRef, column: ObjectRef) -> int:
         """Equivalent-attribute count for one object pair."""
+        return self._count(row, column, {})
+
+    def _count(
+        self,
+        row: ObjectRef,
+        column: ObjectRef,
+        numbers: dict[ObjectRef, set[int]],
+    ) -> int:
+        """One cell through the memo.
+
+        ``numbers`` holds each object's class-number set for the span of
+        one call, so a whole-matrix pass builds it once per object
+        rather than twice per cell.
+        """
         key = (row, column)
+        counters = self._registry.counters
         cached = self._cells.get(key)
         if cached is not None:
-            self._registry.counters.ocs_cache_hits += 1
+            counters.ocs_cache_hits += 1
             return cached
-        value = self._registry.equivalent_class_count(
-            (row.schema, row.object_name), (column.schema, column.object_name)
-        )
-        self._registry.counters.ocs_cells_recomputed += 1
+        for ref in key:
+            if ref not in numbers:
+                numbers[ref] = self._registry.object_class_numbers(
+                    (ref.schema, ref.object_name)
+                )
+        value = len(numbers[row] & numbers[column])
+        counters.ocs_cells_recomputed += 1
         self._cells[key] = value
         return value
 
@@ -187,20 +205,22 @@ class OcsMatrix:
     def entries(self, include_zero: bool = False) -> list[OcsEntry]:
         """All matrix entries row-major; zero-similarity pairs are skipped
         unless ``include_zero`` is set (Screen 8 only shows candidates)."""
+        numbers: dict[ObjectRef, set[int]] = {}
         with span("phase2.ocs.recompute", counters=self._registry.counters):
             found: list[OcsEntry] = []
             for row in self._rows:
                 for column in self._columns:
-                    entry = self.entry(row, column)
-                    if entry.equivalent_attributes > 0 or include_zero:
-                        found.append(entry)
+                    value = self._count(row, column, numbers)
+                    if value > 0 or include_zero:
+                        found.append(OcsEntry(row, column, value))
             return found
 
     def as_counts(self) -> list[list[int]]:
         """Dense count matrix (row-major) for numeric consumers."""
+        numbers: dict[ObjectRef, set[int]] = {}
         with span("phase2.ocs.recompute", counters=self._registry.counters):
             return [
-                [self.count(row, column) for column in self._columns]
+                [self._count(row, column, numbers) for column in self._columns]
                 for row in self._rows
             ]
 

@@ -82,8 +82,16 @@ def ordered_object_pairs(
                     entry.row, entry.column, entry.equivalent_attributes, ratio
                 )
             )
+        # the ObjectRef fields as plain strings: the dataclass order,
+        # without its comparison calls
         pairs.sort(
-            key=lambda pair: (-pair.attribute_ratio, pair.first, pair.second)
+            key=lambda pair: (
+                -pair.attribute_ratio,
+                pair.first.schema,
+                pair.first.object_name,
+                pair.second.schema,
+                pair.second.object_name,
+            )
         )
         ocs.view_cache[cache_key] = pairs
         registry.counters.ordering_rebuilds += 1

@@ -576,20 +576,21 @@ class EquivalenceRegistry:
         This is the count the OCS matrix stores: classes that contain at
         least one attribute of each object.
         """
-        numbers_a = self._object_class_numbers(first_object)
-        numbers_b = self._object_class_numbers(second_object)
+        numbers_a = self.object_class_numbers(first_object)
+        numbers_b = self.object_class_numbers(second_object)
         return len(numbers_a & numbers_b)
 
     def shared_classes(
         self, first_object: tuple[str, str], second_object: tuple[str, str]
     ) -> list[list[AttributeRef]]:
         """The equivalence classes spanning both object classes."""
-        shared = self._object_class_numbers(first_object) & self._object_class_numbers(
-            second_object
-        )
+        shared = self.object_class_numbers(
+            first_object
+        ) & self.object_class_numbers(second_object)
         return [list(self._members[num]) for num in sorted(shared)]
 
-    def _object_class_numbers(self, owner: tuple[str, str]) -> set[int]:
+    def object_class_numbers(self, owner: tuple[str, str]) -> set[int]:
+        """Numbers of the equivalence classes holding the object's attributes."""
         schema_name, object_name = owner
         schema = self.schema(schema_name)
         structure = schema.get(object_name)

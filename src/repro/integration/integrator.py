@@ -19,6 +19,7 @@ of the paper:
 
 from __future__ import annotations
 
+from repro.assertions.assertion import Assertion
 from repro.assertions.kinds import Relation
 from repro.assertions.network import AssertionNetwork
 from repro.ecr.objects import Category, EntitySet
@@ -41,7 +42,7 @@ from repro.integration.result import IntegratedNode, IntegrationResult
 from repro.obs.trace import span
 
 
-def canonical_assertions(network: AssertionNetwork) -> list:
+def canonical_assertions(network: AssertionNetwork) -> list[Assertion]:
     """The network's assertions in history-independent order.
 
     Specification order varies with the DDA's path through a sitting and
@@ -49,6 +50,8 @@ def canonical_assertions(network: AssertionNetwork) -> list:
     persistence), so a restored session re-specifies in sorted order.
     Integration output must be identical either way — every pass over the
     network iterates in this order, sorted by endpoint names.
+    :meth:`Integrator.integrate` sorts once per network per call and
+    hands the list to each pass.
     """
     return sorted(
         network.all_assertions(),
@@ -105,17 +108,19 @@ class Integrator:
             with span("phase4.clusters", counters=counters):
                 self._log_clusters(schema_a, schema_b, result)
             with span("phase4.objects.merge", counters=counters):
-                groups, node_names, members_by_node = self._merge_object_classes(
-                    schema_a, schema_b, names, result
+                # one sorted list serves every pass over the object network
+                assertions = canonical_assertions(self._network)
+                node_names, members_by_node = self._merge_object_classes(
+                    schema_a, schema_b, assertions, names, result
                 )
             with span("phase4.isa.edges", counters=counters):
                 edges = self._collect_isa_edges(
-                    schema_a, schema_b, groups, node_names
+                    schema_a, schema_b, assertions, node_names
                 )
             with span("phase4.isa.derived_parents", counters=counters):
                 edges = self._add_derived_parents(
-                    schema_a, schema_b, groups, node_names, members_by_node,
-                    names, edges, result,
+                    assertions, node_names, members_by_node, names, edges,
+                    result,
                 )
                 edges = transitive_reduction(edges)
             with span("phase4.objects.build", counters=counters):
@@ -160,18 +165,15 @@ class Integrator:
         self,
         schema_a: Schema,
         schema_b: Schema,
+        assertions: list[Assertion],
         names: NamePool,
         result: IntegrationResult,
-    ) -> tuple[
-        DisjointSet[ObjectRef],
-        dict[ObjectRef, str],
-        dict[str, list[ObjectRef]],
-    ]:
+    ) -> tuple[dict[ObjectRef, str], dict[str, list[ObjectRef]]]:
         """Group object classes by ``equals`` assertions and name the groups."""
         refs = self._object_refs(schema_a) + self._object_refs(schema_b)
         chosen = set(refs)
         groups: DisjointSet[ObjectRef] = DisjointSet(refs)
-        for assertion in canonical_assertions(self._network):
+        for assertion in assertions:
             if (
                 assertion.relation is Relation.EQ
                 and assertion.first in chosen
@@ -200,19 +202,19 @@ class Integrator:
             result.nodes[node_name] = IntegratedNode(
                 node_name, list(members), origin
             )
-        return groups, node_names, members_by_node
+        return node_names, members_by_node
 
     def _collect_isa_edges(
         self,
         schema_a: Schema,
         schema_b: Schema,
-        groups: DisjointSet[ObjectRef],
+        assertions: list[Assertion],
         node_names: dict[ObjectRef, str],
     ) -> list[tuple[str, str]]:
         """IS-A edges from definite containments and original categories."""
         chosen = set(node_names)
         edges: list[tuple[str, str]] = []
-        for assertion in canonical_assertions(self._network):
+        for assertion in assertions:
             if assertion.first not in chosen or assertion.second not in chosen:
                 continue
             if assertion.relation is Relation.PP:
@@ -236,9 +238,7 @@ class Integrator:
 
     def _add_derived_parents(
         self,
-        schema_a: Schema,
-        schema_b: Schema,
-        groups: DisjointSet[ObjectRef],
+        assertions: list[Assertion],
         node_names: dict[ObjectRef, str],
         members_by_node: dict[str, list[ObjectRef]],
         names: NamePool,
@@ -248,7 +248,7 @@ class Integrator:
         """Create ``D_`` parents for decided overlap/disjoint-integrable pairs."""
         chosen = set(node_names)
         seen_pairs: set[frozenset[str]] = set()
-        for assertion in canonical_assertions(self._network):
+        for assertion in assertions:
             if assertion.first not in chosen or assertion.second not in chosen:
                 continue
             if assertion.relation not in (Relation.PO, Relation.DR):
@@ -427,24 +427,23 @@ class Integrator:
         chosen = set(refs)
         groups: DisjointSet[ObjectRef] = DisjointSet(refs)
         rel_net = self._relationship_network
-        if rel_net is not None:
-            for assertion in canonical_assertions(rel_net):
-                if (
-                    assertion.relation is Relation.EQ
-                    and assertion.first in chosen
-                    and assertion.second in chosen
-                ):
-                    groups.union(assertion.first, assertion.second)
+        assertions = [] if rel_net is None else canonical_assertions(rel_net)
+        for assertion in assertions:
+            if (
+                assertion.relation is Relation.EQ
+                and assertion.first in chosen
+                and assertion.second in chosen
+            ):
+                groups.union(assertion.first, assertion.second)
         node_of: dict[ObjectRef, str] = {}
         for members in groups.classes():
             node_name = self._build_relationship_node(members, names, result)
             for member in members:
                 node_of[member] = node_name
                 result.object_mapping[member] = node_name
-        if rel_net is not None:
-            self._derived_relationship_parents(
-                rel_net, chosen, node_of, names, result
-            )
+        self._derived_relationship_parents(
+            assertions, chosen, node_of, names, result
+        )
 
     def _build_relationship_node(
         self,
@@ -577,7 +576,7 @@ class Integrator:
 
     def _derived_relationship_parents(
         self,
-        rel_net: AssertionNetwork,
+        assertions: list[Assertion],
         chosen: set[ObjectRef],
         node_of: dict[ObjectRef, str],
         names: NamePool,
@@ -587,7 +586,7 @@ class Integrator:
         assertions (the ECR model has no relationship categories, so the
         lattice lives on the result)."""
         seen_pairs: set[frozenset[str]] = set()
-        for assertion in canonical_assertions(rel_net):
+        for assertion in assertions:
             if assertion.first not in chosen or assertion.second not in chosen:
                 continue
             node_a = node_of[assertion.first]

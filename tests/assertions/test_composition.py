@@ -13,6 +13,7 @@ from repro.assertions.composition import (
     ALL_MASK,
     ALL_RELATIONS,
     COMPOSE_MASK,
+    COMPOSE_TRANSLATE,
     CONVERSE_MASK,
     MASK_RELATIONS,
     RELATIONS_MASK,
@@ -121,6 +122,32 @@ class TestMaskTables:
             assert MASK_RELATIONS[CONVERSE_MASK[mask]] == converse_set(
                 MASK_RELATIONS[mask]
             )
+
+    def test_translate_tables_are_the_composition_rows(self):
+        assert len(COMPOSE_TRANSLATE) == ALL_MASK + 1
+        for mask, table in enumerate(COMPOSE_TRANSLATE):
+            assert len(table) == 256
+            for other in range(ALL_MASK + 1):
+                assert table[other] == COMPOSE_MASK[mask][other]
+
+    def test_composing_with_a_universal_leg_is_universal(self):
+        # the row-wise kernel relies on this: the diagonal and removed
+        # columns are universal, so they never narrow
+        for mask in range(1, ALL_MASK + 1):
+            assert COMPOSE_MASK[mask][ALL_MASK] == ALL_MASK
+            assert COMPOSE_MASK[ALL_MASK][mask] == ALL_MASK
+
+    def test_a_leg_that_survives_keeps_its_converse_leg_alive(self):
+        """If R(i,k) ∩ R(i,j)∘R(j,k) is non-empty, so is
+        R(j,k) ∩ R(j,i)∘(that narrowed R(i,k)): a pop can only empty the
+        (i, k) side of a triangle, never (k, j) after (i, k) survived."""
+        for ij in range(1, ALL_MASK + 1):
+            for jk in range(1, ALL_MASK + 1):
+                for ik in range(1, ALL_MASK + 1):
+                    narrowed = ik & COMPOSE_MASK[ij][jk]
+                    if narrowed:
+                        ji = CONVERSE_MASK[ij]
+                        assert jk & COMPOSE_MASK[ji][narrowed]
 
 
 @given(nonempty_sets, nonempty_sets, nonempty_sets)

@@ -6,22 +6,35 @@ incremental network and a full-rebuild network (``incremental=False``)
 through identical scripts and require bit-identical feasible sets and
 derived assertions, plus counter evidence that the incremental path really
 did less work.
+
+The row-wise propagation kernel is held to the per-element loop it
+replaced the same way: :class:`LoopNetwork` keeps that loop verbatim,
+and both engines must agree on every table, support, failed pair and
+propagation step.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.assertions.composition import (
+    ALL_MASK,
+    COMPOSE_MASK,
+    CONVERSE_MASK,
+    RELATION_BIT,
+)
 from repro.assertions.kinds import AssertionKind, Relation
-from repro.assertions.network import AssertionNetwork
+from repro.assertions.network import AssertionNetwork, _UndoLog
 from repro.ecr.schema import ObjectRef
 from repro.errors import AssertionSpecError, ConflictError
+from tests.assertions.test_network import _actual_kind
 
 OBJECTS = [ObjectRef("s", f"O{i}") for i in range(6)]
 
@@ -198,3 +211,234 @@ def test_retract_work_does_not_depend_on_the_string_hash_seed():
         return int(result.stdout)
 
     assert steps("0") == steps("2")
+
+
+# -- the row-wise kernel against the per-element loop ------------------------------
+
+
+class LoopNetwork(AssertionNetwork):
+    """The network with the per-element ``_propagate`` loop it replaced.
+
+    The loop below is kept verbatim: one Python iteration per third
+    object k, narrowing (i, k) through j and then (k, j) through i.  The
+    row-wise kernel must match it in every table, support, queue order,
+    failed pair and step.
+    """
+
+    def _propagate(self, undo, seeds):
+        rows = self._rows
+        live = self._live
+        narrow = self._narrow
+        steps = 0
+        queue = deque(seeds)
+        try:
+            while queue:
+                i, j = queue.popleft()
+                row_i = rows[i]
+                row_j = rows[j]
+                ij_universal = row_i[j] == ALL_MASK
+                compose_ij = COMPOSE_MASK[row_i[j]]
+                compose_ji = COMPOSE_MASK[row_j[i]]
+                for k in live:
+                    if k == i or k == j:
+                        continue
+                    rel_ik = row_i[k]
+                    rel_jk = row_j[k]
+                    # Narrow (i, k) through j: R(i,k) ∩= R(i,j) ∘ R(j,k).
+                    if not (ij_universal and rel_jk == ALL_MASK):
+                        steps += 1
+                        new = rel_ik & compose_ij[rel_jk]
+                        if new != rel_ik:
+                            narrow(undo, i, k, j, new)
+                            if not new:
+                                return (i, k)
+                            queue.append((i, k))
+                            rel_ik = new
+                    # Narrow (k, j) through i: R(k,j) ∩= R(k,i) ∘ R(i,j),
+                    # computed as its converse R(j,k) ∩= R(j,i) ∘ R(i,k)
+                    # so both legs come from the rows already in hand.
+                    if not (ij_universal and rel_ik == ALL_MASK):
+                        steps += 1
+                        new = rel_jk & compose_ji[rel_ik]
+                        if new != rel_jk:
+                            narrow(undo, k, j, i, CONVERSE_MASK[new])
+                            if not new:
+                                return (k, j)
+                            queue.append((k, j))
+            return None
+        finally:
+            self.counters.propagation_steps += steps
+
+
+_KERNEL_VERBS = ("specify", "specify", "specify", "respecify", "retract",
+                 "remove", "add")
+
+
+@st.composite
+def kernel_scripts(draw):
+    """A world of 4-9 sets plus a script of 1-40 steps over it.
+
+    A step's kind is the world's true relation (``None``) or a random
+    code, so scripts grow deep consistent networks and also hit
+    conflicts; ``remove`` followed by ``add`` re-registers a node at the
+    end of live order, away from its id order.
+    """
+    world = draw(
+        st.lists(
+            st.frozensets(st.integers(0, 5), min_size=1), min_size=4, max_size=9
+        )
+    )
+    step = st.tuples(
+        st.sampled_from(_KERNEL_VERBS),
+        st.integers(0, len(world) - 1),
+        st.integers(0, len(world) - 1),
+        st.one_of(st.none(), st.none(), st.sampled_from(list(AssertionKind))),
+    )
+    return world, draw(st.lists(step, min_size=1, max_size=40))
+
+
+def _run_step(network, refs, world, verb, i, j, kind):
+    """One script step; returns the refused call's failed pair, if any.
+
+    ``add`` re-registers a removed node when there is one, so it lands
+    at the end of live order, away from its id order.
+    """
+    if kind is None:
+        kind = _actual_kind(world[i], world[j])
+    removed = [ref for ref in refs if ref not in network.objects()]
+    try:
+        if verb == "specify":
+            network.specify(refs[i], refs[j], kind)
+        elif verb == "respecify":
+            network.respecify(refs[i], refs[j], kind)
+        elif verb == "retract":
+            network.retract(refs[i], refs[j])
+        elif verb == "remove":
+            network.remove_object(refs[i])
+        else:
+            network.add_object(removed[i % len(removed)] if removed else refs[i])
+    except ConflictError as exc:
+        report = exc.report
+        return ("conflict", report.subject_first, report.subject_second)
+    except AssertionSpecError:
+        return ("rejected",)
+    return ("ok",)
+
+
+def _kernel_state(network: AssertionNetwork):
+    """Every table the propagation writes, plus its step count."""
+    return (
+        [bytes(row) for row in network._rows],
+        dict(network._supports),
+        {key: set(index) for key, index in network._support_index.items()},
+        network.derived_assertions(),
+        [assertion.supports for assertion in network.derived_assertions()],
+        list(network._live),
+        network.counters.propagation_steps,
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_scripts())
+def test_row_kernel_matches_the_per_element_loop_after_every_step(drawn):
+    world, script = drawn
+    refs = [ObjectRef("w", f"S{i}") for i in range(len(world))]
+    row_wise = AssertionNetwork()
+    loop = LoopNetwork()
+    for network in (row_wise, loop):
+        for ref in refs:
+            network.add_object(ref)
+    for verb, i, j, kind in script:
+        outcome = _run_step(row_wise, refs, world, verb, i, j, kind)
+        assert outcome == _run_step(loop, refs, world, verb, i, j, kind)
+        assert _kernel_state(row_wise) == _kernel_state(loop)
+
+
+# A specify that passes the direct check never empties a third pair: the
+# closure's labels are minimal (see test_network.py's oracle), so every
+# relation left feasible is consistent.  The kernel's failure path, and
+# the partial step count it reports, are therefore driven here on
+# arbitrary, not path-consistent tables.
+
+
+def _raw_network(network_type, size, readded, masks):
+    """``size`` nodes, ``readded`` moved to the end of live order, and
+    R(x, y) for x < y set from ``masks`` without any propagation."""
+    network = network_type()
+    refs = [ObjectRef("w", f"S{i}") for i in range(size)]
+    for ref in refs:
+        network.add_object(ref)
+    for node in readded:
+        network.remove_object(refs[node])
+        network.add_object(refs[node])
+    pairs = itertools.combinations(range(size), 2)
+    for (x, y), mask in zip(pairs, masks):
+        network._put(x, y, mask)
+    return network
+
+
+def _propagated(network, seeds):
+    undo = _UndoLog()
+    failure = network._propagate(undo, seeds)
+    return (
+        failure,
+        list(undo.entries.items()),
+        [bytes(row) for row in network._rows],
+        dict(network._supports),
+        dict(network._support_index),
+        network.counters.propagation_steps,
+    )
+
+
+@st.composite
+def raw_tables(draw):
+    size = draw(st.integers(4, 9))
+    readded = draw(st.lists(st.integers(0, size - 1), max_size=3))
+    mask = st.one_of(st.just(ALL_MASK), st.integers(1, ALL_MASK))
+    masks = draw(
+        st.lists(mask, min_size=size * (size - 1) // 2,
+                 max_size=size * (size - 1) // 2)
+    )
+    seed = st.tuples(
+        st.integers(0, size - 1), st.integers(0, size - 1)
+    ).filter(lambda pair: pair[0] != pair[1])
+    return size, readded, masks, draw(st.lists(seed, min_size=1, max_size=3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw_tables())
+def test_row_kernel_matches_the_loop_on_arbitrary_tables(drawn):
+    size, readded, masks, seeds = drawn
+    row_wise = _raw_network(AssertionNetwork, size, readded, masks)
+    loop = _raw_network(LoopNetwork, size, readded, masks)
+    assert _propagated(row_wise, seeds) == _propagated(loop, seeds)
+
+
+def test_a_failure_is_reported_at_the_first_column_in_live_order():
+    # node 1 is re-added, so live order is 0, 2, 3, 4, 1.  Seeding
+    # S0 ⊂ S2 with S2 disjoint from S1 and S3, while S0 ⊂ S1 and S0 ⊂ S3,
+    # empties both (0, 1) and (0, 3); the loop meets S3 first.
+    masks = dict.fromkeys(itertools.combinations(range(5), 2), ALL_MASK)
+    pp, dr = RELATION_BIT[Relation.PP], RELATION_BIT[Relation.DR]
+    masks.update({(0, 2): pp, (0, 1): pp, (0, 3): pp, (1, 2): dr, (2, 3): dr})
+    outcomes = []
+    for network_type in (AssertionNetwork, LoopNetwork):
+        network = _raw_network(network_type, 5, [1], list(masks.values()))
+        outcomes.append(_propagated(network, [(0, 2)]))
+    assert outcomes[0] == outcomes[1]
+    failure, _, _, _, _, steps = outcomes[0]
+    assert failure == (0, 3)
+    assert steps == 1
+
+
+def test_a_universal_pop_counts_the_non_universal_legs():
+    """A queued pair with no constraint narrows nothing; its steps are
+    the non-universal entries of its two rows, as the loop counts them."""
+    pp = RELATION_BIT[Relation.PP]
+    masks = [ALL_MASK, pp, ALL_MASK, pp, pp, ALL_MASK]  # pairs of 4 nodes
+    outcomes = []
+    for network_type in (AssertionNetwork, LoopNetwork):
+        network = _raw_network(network_type, 4, [2], masks)
+        outcomes.append(_propagated(network, [(0, 1)]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][-1] == 3  # (0, 2), (1, 2) and (1, 3)

@@ -1,9 +1,18 @@
 """Tests for the assertion constraint network."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.assertions.assertion import ordered_pair
+from repro.assertions.composition import (
+    ALL_MASK,
+    ALL_RELATIONS,
+    compose_sets,
+    converse,
+    converse_set,
+)
 from repro.assertions.kinds import AssertionKind, Relation, Source
 from repro.assertions.network import AssertionNetwork
 from repro.ecr.schema import ObjectRef
@@ -185,6 +194,19 @@ class TestRetraction:
         network.retract(b, c)
         assert network.assertion_for(a, c) is None
         assert network.assertion_for(a, b) is not None
+
+    def test_removed_node_is_universal_in_every_row(self):
+        network = AssertionNetwork()
+        a, b, c, d = refs("A", "B", "C", "D")
+        for ref in (a, b, c, d):
+            network.add_object(ref)
+        network.specify(a, b, AssertionKind.CONTAINED_IN)
+        network.specify(b, c, AssertionKind.CONTAINED_IN)
+        network.specify(b, d, AssertionKind.DISJOINT_INTEGRABLE)
+        network.remove_object(b)
+        node = network._ids[b]
+        assert set(network._rows[node]) == {ALL_MASK}
+        assert {row[node] for row in network._rows} == {ALL_MASK}
 
     def test_retract_unknown_pair(self, triangle):
         network, a, b, _ = triangle
@@ -437,3 +459,155 @@ def test_closure_matches_the_naive_fixpoint_after_every_step(drawn):
             (assertion.pair, assertion.kind.code)
             for assertion in network.derived_assertions()
         } == derived
+
+
+# -- minimal labels: every feasible relation is realisable ------------------------
+
+
+def _oriented(labels, a: int, b: int) -> frozenset:
+    return labels[(a, b)] if a < b else converse_set(labels[(b, a)])
+
+
+def _path_consistent(size: int, labels: dict) -> dict | None:
+    """Naive all-triangles path consistency over relation sets."""
+    labels = dict(labels)
+    changed = True
+    while changed:
+        changed = False
+        for a, b, c in itertools.permutations(range(size), 3):
+            old = _oriented(labels, a, c)
+            new = old & compose_sets(_oriented(labels, a, b), _oriented(labels, b, c))
+            if new == old:
+                continue
+            if not new:
+                return None
+            if a < c:
+                labels[(a, c)] = new
+            else:
+                labels[(c, a)] = converse_set(new)
+            changed = True
+    return labels
+
+
+def _is_model(size: int, labels: dict) -> bool:
+    """Whether concrete sets realise an atomic labelling.
+
+    Object i gets a private element, plus one element per overlap it
+    takes part in, plus everything of every object it contains or
+    equals; the labelling holds when those sets stand in exactly the
+    labelled relations.
+    """
+
+    def relation(a: int, b: int) -> Relation:
+        (only,) = _oriented(labels, a, b)
+        return only
+
+    below = [
+        {i} | {
+            j for j in range(size)
+            if j != i and relation(j, i) in (Relation.PP, Relation.EQ)
+        }
+        for i in range(size)
+    ]
+    own = [
+        {("own", i)} | {
+            ("overlap", min(i, j), max(i, j)) for j in range(size)
+            if j != i and relation(i, j) is Relation.PO
+        }
+        for i in range(size)
+    ]
+    sets = [frozenset().union(*(own[j] for j in below[i])) for i in range(size)]
+    return all(
+        _actual_kind(sets[a], sets[b]).relation is relation(a, b)
+        for a, b in labels
+    )
+
+
+def _atomic_model(size: int, labels: dict) -> dict | None:
+    """An atomic refinement of ``labels`` that sets realise, or ``None``.
+
+    Backtracks over the pairs' relations, pruning by path consistency;
+    a refinement counts only once :func:`_is_model` builds its sets.
+    """
+    labels = _path_consistent(size, labels)
+    if labels is None:
+        return None
+    open_pairs = [pair for pair, relations in labels.items() if len(relations) > 1]
+    if not open_pairs:
+        return labels if _is_model(size, labels) else None
+    pair = min(open_pairs, key=lambda open_pair: len(labels[open_pair]))
+    for relation in Relation:
+        if relation in labels[pair]:
+            model = _atomic_model(size, {**labels, pair: frozenset({relation})})
+            if model is not None:
+                return model
+    return None
+
+
+def _realisable(size: int, facts: dict) -> dict:
+    """Per pair, every relation some model of ``facts`` gives it."""
+    realised = {pair: set() for pair in facts}
+    for pair, allowed in facts.items():
+        for relation in Relation:
+            if relation in realised[pair] or relation not in allowed:
+                continue
+            model = _atomic_model(size, {**facts, pair: frozenset({relation})})
+            if model is not None:
+                for other, (only,) in model.items():
+                    realised[other].add(only)
+    return realised
+
+
+@st.composite
+def specified_worlds(draw):
+    """4-7 sets and facts over them, in random order: mostly their true
+    relations, some random codes the network may refuse."""
+    world = draw(
+        st.lists(
+            st.frozensets(st.integers(0, 5), min_size=1), min_size=4, max_size=7
+        )
+    )
+    pairs = draw(st.permutations(list(itertools.combinations(range(len(world)), 2))))
+    pairs = pairs[: draw(st.integers(1, len(pairs)))]
+    kinds = draw(
+        st.lists(
+            st.one_of(st.none(), st.none(), st.sampled_from(list(AssertionKind))),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    return world, list(zip(pairs, kinds))
+
+
+@settings(deadline=None, max_examples=40)
+@given(specified_worlds())
+def test_every_feasible_relation_is_realised_by_a_model(drawn):
+    """The closure's labels are minimal: each relation a pair keeps is
+    taken in some model of the specified assertions, and no other is —
+    so every entailed assertion is derived."""
+    world, steps = drawn
+    size = len(world)
+    refs = [ObjectRef("w", f"S{i}") for i in range(size)]
+    network = AssertionNetwork()
+    for ref in refs:
+        network.add_object(ref)
+    for (i, j), kind in steps:
+        try:
+            network.specify(
+                refs[i], refs[j], kind or _actual_kind(world[i], world[j])
+            )
+        except (AssertionSpecError, ConflictError):
+            pass
+    facts = dict.fromkeys(itertools.combinations(range(size), 2), ALL_RELATIONS)
+    specified = set()
+    for fact in network.specified_assertions():
+        i, j = refs.index(fact.first), refs.index(fact.second)
+        relation = fact.relation if i < j else converse(fact.relation)
+        pair = (min(i, j), max(i, j))
+        facts[pair] = frozenset({relation})
+        specified.add(pair)
+    for (i, j), relations in _realisable(size, facts).items():
+        assert network.feasible(refs[i], refs[j]) == relations
+        if len(relations) == 1 and (i, j) not in specified:
+            derived = network.assertion_for(refs[i], refs[j])
+            assert derived.source is Source.DERIVED

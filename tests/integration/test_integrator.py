@@ -297,3 +297,69 @@ class TestEdgeCases:
         network.specify(ObjectRef("x", "Staff"), ObjectRef("x", "Employee"), 1)
         result = integrate_pair(registry, network, "x", "y")
         assert "E_Staf_Empl" in result.schema.structure_names()
+
+
+class TestOnePassPerCall:
+    """Each integrate sorts the network's assertions once and shares the
+    list among its passes; nothing of it may survive into the next call."""
+
+    def test_second_call_sees_an_assertion_specified_in_between(self):
+        key = [("K", "char", True)]
+        registry = EquivalenceRegistry(
+            [
+                SchemaBuilder("s1").entity("Person", attrs=key).build(),
+                SchemaBuilder("s2").entity("Employee", attrs=key).build(),
+            ]
+        )
+        network = AssertionNetwork()
+        for schema in registry.schemas():
+            network.seed_schema(schema)
+        integrator = Integrator(registry, network)
+        before = integrator.integrate("s1", "s2")
+        assert [e.name for e in before.schema.entity_sets()] == [
+            "Person",
+            "Employee",
+        ]
+        network.specify("s2.Employee", "s1.Person", AssertionKind.CONTAINED_IN)
+        after = integrator.integrate("s1", "s2")
+        assert [e.name for e in after.schema.entity_sets()] == ["Person"]
+        assert after.schema.category("Employee").parents == ["Person"]
+
+
+def test_string_keyed_sorts_keep_the_dataclass_order():
+    """On a generated 114-class world, the ranked candidates and the
+    derived assertions come out in ``ObjectRef`` dataclass order."""
+    from repro.equivalence.session import AnalysisSession
+    from repro.errors import ConflictError
+    from repro.workloads.generator import GeneratorConfig, generate_schema_pair
+
+    pair = generate_schema_pair(
+        GeneratorConfig(
+            seed=1000, concepts=34, overlap=0.6, category_rate=1.0,
+            contradictions=2,
+        )
+    )
+    assert len(pair.first) + len(pair.second) == 114
+    session = AnalysisSession([pair.first, pair.second])
+    for left, right in sorted(pair.truth.attribute_pairs):
+        session.declare_equivalent(left, right)
+    ranked = session.candidate_pairs(
+        pair.first.name, pair.second.name, include_zero=True
+    )
+    assert ranked == sorted(
+        ranked,
+        key=lambda candidate: (
+            -candidate.attribute_ratio, candidate.first, candidate.second
+        ),
+    )
+    network = session.object_network
+    for candidate in ranked:
+        if network.is_undetermined(candidate.first, candidate.second):
+            kind = pair.truth.assertion_between(candidate.first, candidate.second)
+            try:
+                session.specify(candidate.first, candidate.second, kind)
+            except ConflictError:
+                pass
+    derived = network.derived_assertions()
+    assert len(derived) > 1000
+    assert derived == sorted(derived, key=lambda assertion: assertion.pair)
