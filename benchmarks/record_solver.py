@@ -8,8 +8,8 @@ failure, so ``make solver-smoke`` can enforce them in CI):
   facts so the closure has triangles to derive) the solver's derived
   assertions and narrowed feasible sets must equal the incremental
   network's, every world must derive at least one assertion, and the
-  adjacency-restricted worklist does no more triangle revisions than
-  the oracle's propagation;
+  batch run (one kernel run seeded with every fact) takes no more
+  propagation steps than the oracle's specify-at-a-time runs;
 * **conflict detection** — on conflict-seeded workloads
   (``repro.workloads.conflict_seeded_config``) every planted
   contradiction must raise :class:`~repro.errors.ConsistencyFailure`

@@ -149,6 +149,18 @@ _RELATION_KIND = {
     Relation.PO: AssertionKind.MAY_BE,
 }
 
+def derived_kind(relation: Relation) -> tuple[AssertionKind, bool]:
+    """The kind a derived singleton reads as, and ``integrability_decided``.
+
+    Only an explicit DDA code decides integrability: a derived DR pair
+    defaults to the integrable code 4 and a derived PO pair to "may be",
+    both undecided; EQ, PP and PPi carry no integrability choice.
+    """
+    if relation is Relation.DR:
+        return AssertionKind.DISJOINT_INTEGRABLE, False
+    return _RELATION_KIND[relation], relation is not Relation.PO
+
+
 _KIND_PHRASES = {
     AssertionKind.EQUALS: "{first} 'equals' {second}",
     AssertionKind.CONTAINED_IN: "{first} 'contained in' {second}",

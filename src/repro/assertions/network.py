@@ -75,7 +75,7 @@ from repro.assertions.composition import (
     RELATION_BIT,
 )
 from repro.assertions.conflicts import ConflictReport
-from repro.assertions.kinds import AssertionKind, Relation, Source
+from repro.assertions.kinds import AssertionKind, Relation, Source, derived_kind
 from repro.ecr.coerce import coerce_object_ref
 from repro.ecr.schema import ObjectRef, Schema
 from repro.errors import AssertionSpecError, ConflictError
@@ -683,6 +683,36 @@ class AssertionNetwork:
 
     # -- propagation -------------------------------------------------------------
 
+    def propagate_facts(self, facts: Iterable[Assertion]) -> Pair | None:
+        """Close a batch of facts in one path-consistency run.
+
+        The batch entry point of :mod:`repro.solver`, meant for a fresh
+        network whose nodes are the facts' objects: each fact narrows its
+        pair, then :meth:`_propagate` runs once, seeded with every fact
+        pair.  Only the feasible masks (and supports) change; nothing is
+        recorded as specified or derived, and nothing is rolled back.
+        Returns the canonical pair that emptied, or ``None``.  A fact that
+        clashes with an earlier one on its own pair fails at once, before
+        any propagation.
+        """
+        seeds: dict[_Key, tuple[int, int]] = {}
+        for fact in facts:
+            x = self._node(fact.first)
+            y = self._node(fact.second)
+            if x == y:
+                raise AssertionSpecError(
+                    f"cannot assert {fact.first} against itself"
+                )
+            mask = self._rows[x][y] & RELATION_BIT[fact.relation]
+            self._put(x, y, mask)
+            if not mask:
+                return fact.pair
+            seeds.setdefault(_key(x, y), (x, y))
+        failure = self._propagate(_UndoLog(), seeds.values())
+        if failure is None:
+            return None
+        return ordered_pair(self._refs[failure[0]], self._refs[failure[1]])
+
     def _propagate(
         self,
         undo: _UndoLog,
@@ -828,12 +858,7 @@ class AssertionNetwork:
             if refs[y] < refs[x]:
                 x, y = y, x
             (relation,) = MASK_RELATIONS[self._rows[x][y]]
-            kind = (
-                AssertionKind.DISJOINT_INTEGRABLE
-                if relation is Relation.DR
-                else AssertionKind.from_relation(relation)
-            )
-            decided = relation not in (Relation.DR, Relation.PO)
+            kind, decided = derived_kind(relation)
             support = self._supports.get(key)
             support_pairs: tuple[Pair, ...] = ()
             if support is not None:
@@ -897,8 +922,8 @@ class AssertionNetwork:
         """Every non-universal feasible set, keyed by canonical pair.
 
         Pairs absent from the table still admit all five relations.  The
-        batch solver (:mod:`repro.solver`) produces the same shape, which
-        is how the equivalence tests compare the two engines.
+        batch solver (:mod:`repro.solver`) answers with this table, read
+        off a throwaway network after :meth:`propagate_facts`.
         """
         refs = self._refs
         live = list(self._live)

@@ -1,9 +1,9 @@
-"""The incremental-closure oracle the batch solver is checked against.
+"""The oracles the batch solver is checked against.
 
-``repro.solver`` recomputes what :class:`AssertionNetwork` derives
-incrementally; these drivers run the network over a raw fact list so the
-Hypothesis suite and ``benchmarks/record_solver.py`` can compare the two
-engines fact-for-fact:
+``repro.solver`` recomputes in one batch run what :class:`AssertionNetwork`
+derives incrementally; these drivers run the network over a raw fact list
+so the Hypothesis suite and ``benchmarks/record_solver.py`` can compare the
+batch and the specify-at-a-time answers fact-for-fact:
 
 * :func:`closure_oracle` — feed facts into a fresh network one at a
   time (the tool's Screen 8 path) and report its derived assertions,
@@ -17,7 +17,8 @@ solver's :class:`~repro.errors.ConsistencyFailure` must co-occur.
 :func:`naive_closure` is the independent oracle for the network itself:
 a deliberately naive all-triangles path-consistency fixpoint over
 frozensets, built on :func:`~repro.assertions.composition.compose_sets`
-alone, so it shares no code with either engine's inner loop.
+alone, so it shares no code with the closure kernel that both the network
+and the solver run on.
 """
 
 from __future__ import annotations

@@ -169,8 +169,8 @@ class AnalysisSession:
           :meth:`AssertionNetwork.remove_object` (retract + support-index
           repair of just the dependent closure); added categories seed
           their implicit containment edges exactly as ``add_schema`` would;
-        * the batch solver re-propagates a worklist seeded with only the
-          affected pairs, cross-checking the localized repair.
+        * the batch solver re-propagates only the facts on the affected
+          objects, cross-checking the localized repair.
 
         Dropping a class or relationship that still carries specified DDA
         assertions is refused with a

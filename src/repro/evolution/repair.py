@@ -9,12 +9,11 @@ rebuilt, and the plans the federation cache dropped.
 
 :func:`scoped_repropagation` is the solver-side verification step: after a
 destructive edit's localized network repair, the batch engine
-(:func:`repro.solver.engine.propagate`) is re-run over a worklist seeded
-with only the facts that involve the affected objects.  Retraction only
+(:func:`repro.solver.engine.propagate`) closes only the facts that involve
+the affected objects, from scratch on a throwaway network.  Retraction only
 loosens constraints and fresh structures arrive unconstrained, so this can
-never fail on a well-formed repair — it is the cheap cross-engine check
-that the localized repair left the neighborhood at the same fixpoint the
-batch engine reaches.
+never fail on a well-formed repair — it is the cheap check that the
+neighborhood the incremental repair kept is consistent on its own.
 """
 
 from __future__ import annotations

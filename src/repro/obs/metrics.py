@@ -303,7 +303,7 @@ class AnalysisCounters:
     closure_pairs_recomputed: int = 0
     #: full solver propagation runs (solve/trial/explain re-propagations)
     solver_runs: int = 0
-    #: triangle revisions performed by the solver's AC-3 worklist
+    #: closure-kernel propagation steps of the solver's batch runs
     solver_propagation_steps: int = 0
     #: from-scratch consistency checks (QuickXplain probes, trials)
     solver_consistency_checks: int = 0

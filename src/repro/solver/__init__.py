@@ -1,11 +1,12 @@
 """Constraint-propagation inference over assertion networks.
 
 The batch counterpart of :mod:`repro.assertions`'s incremental path
-consistency, in three pieces:
+consistency, run on the network's own closure kernel, in three pieces:
 
-* :mod:`repro.solver.engine` — the five assertion kinds compiled onto
-  finite relation domains and revised to the fixpoint by an AC-3-style
-  worklist (:class:`ConstraintSolver`, :func:`explain_assertion`);
+* :mod:`repro.solver.engine` — a fact list closed in one batch-seeded
+  run of :class:`~repro.assertions.network.AssertionNetwork`'s
+  path-consistency loop on a throwaway network (:func:`propagate`,
+  :class:`ConstraintSolver`, :func:`explain_assertion`);
 * :mod:`repro.solver.explain` — QuickXplain minimal conflict sets: which
   of the committed facts to retract when propagation finds a
   contradiction (:func:`minimal_conflict`, :func:`verify_conflict`);

@@ -1,64 +1,48 @@
-"""The AC-3-style finite-domain propagation engine over assertion facts.
+"""Batch propagation over assertion facts, on the network's closure kernel.
 
 The network (:class:`~repro.assertions.network.AssertionNetwork`) derives
 assertions *incrementally*: each DDA action seeds path consistency from the
-one edge it changed.  This module is the **batch** formulation of the same
-constraint problem, in the shape of the pyontology exemplar (axioms
-compiled onto finite domains + a worklist solver): every asserted fact
-becomes a singleton domain over its object pair, every triangle of
-non-universal edges becomes a composition constraint, and an AC-3 worklist
-revises domains to the fixpoint.
+one edge it changed.  This module asks the same constraint problem of a
+whole fact list at once: :func:`propagate` builds a throwaway network over
+the facts' objects and hands every fact to
+:meth:`~repro.assertions.network.AssertionNetwork.propagate_facts`, which
+narrows each fact's pair and runs the network's one path-consistency loop
+seeded with all of them.  There is no second propagation loop, so the
+batch fixpoint is the network's by construction.
 
-Because both engines run chaotic iteration of the *same* monotone revision
-operator (``R(x,y) ∩= R(x,via) ∘ R(via,y)``) from the same initial
-constraints, they converge to the same unique fixpoint on conflict-free
-inputs — the property the Hypothesis suite in ``tests/solver`` checks
-against the network oracle.  The batch engine differs operationally:
-
-* the worklist is **adjacency-restricted** — a revision is attempted only
-  through third objects that already carry a non-universal edge to one end
-  of the popped pair.  :func:`~repro.assertions.composition.compose_sets`
-  short-circuits to the universal set whenever either side is universal,
-  so every skipped triangle is a guaranteed no-op.  On sparse networks
-  (the realistic case: a DDA asserts far fewer pairs than n²) this does
-  measurably fewer revisions than the oracle's all-third-objects scan —
-  ``benchmarks/record_solver.py`` tracks the ratio;
-* inconsistency is answered with a :class:`~repro.errors.ConsistencyFailure`
-  carrying a **minimal conflict set** (see :mod:`repro.solver.explain`)
-  instead of one derivation chain.
+On top of that one kernel the solver adds what a single derivation chain
+cannot give: inconsistency is answered with a
+:class:`~repro.errors.ConsistencyFailure` carrying a **minimal conflict
+set** (see :mod:`repro.solver.explain`), and trial propagation answers
+what-if questions (:func:`explain_assertion`, suggestions) without
+touching the session's network.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.assertions.assertion import Assertion, Pair, ordered_pair
-from repro.assertions.composition import (
-    ALL_RELATIONS,
-    compose_sets,
-    converse_set,
-)
-from repro.assertions.kinds import AssertionKind, Relation, Source
+from repro.assertions.composition import ALL_RELATIONS, converse_set
+from repro.assertions.kinds import AssertionKind, Relation, Source, derived_kind
+from repro.assertions.network import AssertionNetwork
 from repro.ecr.coerce import coerce_object_ref
 from repro.ecr.schema import ObjectRef
 from repro.errors import AssertionSpecError, ConsistencyFailure
 from repro.obs.metrics import AnalysisCounters
 from repro.obs.trace import span
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.assertions.network import AssertionNetwork
-
 
 @dataclass
 class Propagation:
-    """Raw outcome of one worklist run.
+    """Raw outcome of one batch propagation.
 
     ``domains`` maps canonical pairs to their (narrowed) feasible sets;
     pairs absent from the table are universal.  ``culprit`` is the pair
-    whose domain became empty, or ``None`` on success.  ``steps`` counts
-    triangle revisions actually composed.
+    whose domain became empty, or ``None`` on success; on failure the
+    table holds it as the empty set.  ``steps`` is the kernel's
+    propagation-step count for the run.
     """
 
     domains: dict[Pair, frozenset[Relation]]
@@ -78,128 +62,46 @@ def _get(
     return stored
 
 
-def _set(
-    domains: dict[Pair, frozenset[Relation]],
-    first: ObjectRef,
-    second: ObjectRef,
-    relations: frozenset[Relation],
-) -> None:
-    pair = ordered_pair(first, second)
-    if pair != (first, second):
-        relations = converse_set(relations)
-    domains[pair] = relations
-
-
-def _oriented_relation(fact: Assertion) -> Relation:
-    """The fact's relation read along its canonical pair."""
-    pair = fact.pair
-    if pair == (fact.first, fact.second):
-        return fact.relation
-    return fact.kind.converse.relation
-
-
 def propagate(
     facts: Sequence[Assertion],
     *,
     counters: AnalysisCounters | None = None,
 ) -> Propagation:
-    """Compile facts to singleton domains and revise to the fixpoint.
+    """Close the facts on a throwaway network and read back its table.
 
-    Pure function over its inputs — no network is touched — which is what
-    makes trial propagation (suggestions, what-if explanations) and the
-    QuickXplain subset probes cheap to express.
+    Pure function over its inputs — the caller's network is never
+    touched — which is what makes trial propagation (suggestions, what-if
+    explanations) and the QuickXplain subset probes cheap to express.
+    The steps are added to ``counters.solver_propagation_steps`` only.
     """
-    domains: dict[Pair, frozenset[Relation]] = {}
-    steps = 0
+    network = AssertionNetwork()
     for fact in facts:
-        if fact.first == fact.second:
-            raise AssertionSpecError(
-                f"cannot assert {fact.first} against itself"
-            )
-        pair = fact.pair
-        narrowed = domains.get(pair, ALL_RELATIONS) & {
-            _oriented_relation(fact)
-        }
-        domains[pair] = narrowed
-        if not narrowed:
-            if counters is not None:
-                counters.solver_propagation_steps += steps
-            return Propagation(domains, steps, pair)
-
-    # Non-universal adjacency: the only third objects worth revising
-    # through.  compose_sets() yields the universal set when either side
-    # is universal, so any triangle with an unlisted leg cannot narrow.
-    neighbours: dict[ObjectRef, set[ObjectRef]] = {}
-    for left, right in domains:
-        neighbours.setdefault(left, set()).add(right)
-        neighbours.setdefault(right, set()).add(left)
-
-    queue: deque[Pair] = deque(domains)
-    queued: set[Pair] = set(queue)
-    culprit: Pair | None = None
-    while queue and culprit is None:
-        pair = queue.popleft()
-        queued.discard(pair)
-        i, j = pair
-        # Revise (i, k) through j and (k, j) through i, for every k that
-        # carries a constrained edge to i or j.
-        for k in list(neighbours.get(i, ()) | neighbours.get(j, ())):
-            if k == i or k == j:
-                continue
-            for x, y, via in ((i, k, j), (k, j, i)):
-                rel_x_via = _get(domains, x, via)
-                rel_via_y = _get(domains, via, y)
-                if rel_x_via == ALL_RELATIONS and rel_via_y == ALL_RELATIONS:
-                    continue
-                steps += 1
-                old = _get(domains, x, y)
-                new = old & compose_sets(rel_x_via, rel_via_y)
-                if new == old:
-                    continue
-                _set(domains, x, y, new)
-                revised = ordered_pair(x, y)
-                neighbours.setdefault(x, set()).add(y)
-                neighbours.setdefault(y, set()).add(x)
-                if not new:
-                    culprit = revised
-                    break
-                if revised not in queued:
-                    queue.append(revised)
-                    queued.add(revised)
-            if culprit is not None:
-                break
+        network.add_object(fact.first)
+        network.add_object(fact.second)
+    culprit = network.propagate_facts(facts)
+    steps = network.counters.propagation_steps
     if counters is not None:
         counters.solver_propagation_steps += steps
-    return Propagation(domains, steps, culprit)
+    return Propagation(network.feasible_table(), steps, culprit)
 
 
 def derived_from(
     domains: dict[Pair, frozenset[Relation]],
     specified_pairs: set[Pair],
 ) -> dict[Pair, Assertion]:
-    """Derived assertions: singleton, unspecified pairs, network-style.
-
-    Uses the same kind mapping as the network's ``_refresh_derived``: a
-    derived DR pair defaults to the integrable code 4 and a derived PO
-    pair to "may be", with ``integrability_decided`` False for both —
-    only an explicit DDA code decides integrability.
-    """
+    """Derived assertions: singleton, unspecified pairs, network-style."""
     derived: dict[Pair, Assertion] = {}
     for pair, relations in domains.items():
         if len(relations) != 1 or pair in specified_pairs:
             continue
-        relation = next(iter(relations))
-        kind = (
-            AssertionKind.DISJOINT_INTEGRABLE
-            if relation is Relation.DR
-            else AssertionKind.from_relation(relation)
-        )
+        (relation,) = relations
+        kind, decided = derived_kind(relation)
         derived[pair] = Assertion(
             pair[0],
             pair[1],
             kind,
             Source.DERIVED,
-            integrability_decided=relation not in (Relation.DR, Relation.PO),
+            integrability_decided=decided,
         )
     return derived
 
@@ -245,9 +147,9 @@ class ConstraintSolver:
     @classmethod
     def from_network(
         cls,
-        network: "AssertionNetwork",
+        network: AssertionNetwork,
         extra_facts: Iterable[Assertion] = (),
-    ) -> "ConstraintSolver":
+    ) -> ConstraintSolver:
         """A solver over a network's specified facts (plus hypotheticals)."""
         return cls(
             list(network.specified_assertions()) + list(extra_facts),
@@ -344,7 +246,7 @@ class AssertionExplanation:
 
 
 def explain_assertion(
-    network: "AssertionNetwork",
+    network: AssertionNetwork,
     first: ObjectRef | str,
     second: ObjectRef | str,
     kind: AssertionKind | int,

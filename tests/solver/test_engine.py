@@ -1,4 +1,4 @@
-"""The worklist engine: fixpoints, derived assertions, what-if analysis."""
+"""The batch engine: fixpoints, derived assertions, what-if analysis."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.assertions.composition import ALL_RELATIONS
 from repro.assertions.kinds import AssertionKind, Relation, Source
 from repro.assertions.network import AssertionNetwork
 from repro.baselines import closure_oracle, derived_keys, objects_of
+from repro.equivalence.session import AnalysisSession
 from repro.errors import AssertionSpecError, ConsistencyFailure
 from repro.obs.metrics import AnalysisCounters
 from repro.solver import (
@@ -59,6 +60,64 @@ class TestPropagate:
     def test_no_universal_domains_are_stored(self, chain_facts):
         outcome = propagate(chain_facts)
         assert ALL_RELATIONS not in outcome.domains.values()
+
+    def test_steps_count_as_solver_steps_only(self, triangle_facts):
+        # record_evolution adds both counters: the batch run must not
+        # also show up as incremental-closure work
+        counters = AnalysisCounters()
+        outcome = propagate(triangle_facts, counters=counters)
+        assert counters.propagation_steps == 0
+        assert counters.solver_propagation_steps == outcome.steps > 0
+
+    def test_derived_culprit_is_a_canonical_pair(self, triangle_facts):
+        outcome = propagate(list(reversed(triangle_facts)))
+        assert outcome.culprit == ordered_pair(*outcome.culprit)
+        assert outcome.domains[outcome.culprit] == frozenset()
+
+    def test_reversed_same_pair_clash_names_the_canonical_pair(self):
+        facts = [
+            fact(B, A, AssertionKind.CONTAINS),
+            fact(A, B, AssertionKind.CONTAINS),
+        ]
+        outcome = propagate(facts)
+        assert outcome.culprit == ordered_pair(A, B)
+        assert outcome.domains[outcome.culprit] == frozenset()
+        assert outcome.steps == 0
+
+
+def finished_sitting_network() -> AssertionNetwork:
+    """A 114-class generated world after a whole sitting of true answers."""
+    pair = generate_schema_pair(
+        GeneratorConfig(seed=1000, concepts=34, overlap=0.6, category_rate=1.0)
+    )
+    assert len(pair.first) + len(pair.second) == 114
+    session = AnalysisSession([pair.first, pair.second])
+    for left, right in sorted(pair.truth.attribute_pairs):
+        session.declare_equivalent(left, right)
+    network = session.object_network
+    for candidate in session.candidate_pairs(
+        pair.first.name, pair.second.name, include_zero=True
+    ):
+        if network.is_undetermined(candidate.first, candidate.second):
+            session.specify(
+                candidate.first,
+                candidate.second,
+                pair.truth.assertion_between(candidate.first, candidate.second),
+            )
+    return network
+
+
+def test_batch_closure_of_a_finished_sitting_equals_the_network():
+    network = finished_sitting_network()
+    facts = network.specified_assertions()
+    assert len(facts) > 500
+    outcome = propagate(facts)
+    assert outcome.culprit is None
+    assert outcome.domains == network.feasible_table()
+    solution = ConstraintSolver.from_network(network).solve()
+    assert derived_keys({a.pair: a for a in solution.derived}) == (
+        derived_keys({a.pair: a for a in network.derived_assertions()})
+    )
 
 
 class TestConstraintSolver:

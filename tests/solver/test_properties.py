@@ -1,6 +1,6 @@
 """Property tests: the batch solver against the incremental-closure oracle.
 
-Two properties pin the subsystem's contract:
+Three properties pin the subsystem's contract:
 
 * on conflict-free generated workloads the solver's fixpoint (derived
   assertions *and* narrowed feasible sets) equals what the network
@@ -8,15 +8,32 @@ Two properties pin the subsystem's contract:
   fixpoint;
 * on conflict-seeded workloads every planted contradiction is caught,
   and the minimal conflict sets the solver reports really are both
-  sufficient and minimal (``verify_conflict`` re-checks both halves).
+  sufficient and minimal (``verify_conflict`` re-checks both halves);
+* on random small fact lists, same-pair clashes included, the batch
+  engine agrees with the independent naive fixpoint
+  (:func:`~repro.baselines.naive_closure`), which shares no code with the
+  network the engine now runs on.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import closure_oracle, derived_keys, objects_of
+from repro.assertions.assertion import Assertion
+from repro.assertions.kinds import AssertionKind
+from repro.baselines import (
+    closure_oracle,
+    derived_keys,
+    naive_closure,
+    objects_of,
+)
+from repro.ecr.schema import ObjectRef
 from repro.errors import ConsistencyFailure
-from repro.solver import ConstraintSolver, minimal_conflict, verify_conflict
+from repro.solver import (
+    ConstraintSolver,
+    minimal_conflict,
+    propagate,
+    verify_conflict,
+)
 from repro.workloads.generator import (
     GeneratorConfig,
     conflict_seeded_config,
@@ -88,3 +105,51 @@ def test_minimal_sets_match_the_planted_triangles(seed):
     # the planted triangle alone is a minimal inconsistent set by design
     assert verify_conflict(triangle)
     assert set(minimal_conflict(triangle)) == set(triangle)
+
+
+@st.composite
+def random_fact_lists(draw):
+    """Facts over 3-7 objects, one per pair, sometimes with a restatement.
+
+    The restatement repeats a drawn pair in either orientation with any
+    kind, so it may agree with that pair's fact (same relation) or clash.
+    """
+    count = draw(st.integers(3, 7))
+    objects = [ObjectRef(f"s{index % 2}", f"O{index}") for index in range(count)]
+    pairs = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                pairs.filter(lambda p: p[0] != p[1]),
+                st.sampled_from(AssertionKind),
+            ),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda entry: frozenset(entry[0]),
+        )
+    )
+    facts = [Assertion(objects[i], objects[j], kind) for (i, j), kind in drawn]
+    if draw(st.booleans()):
+        again = draw(st.sampled_from(facts))
+        first, second = again.first, again.second
+        if draw(st.booleans()):
+            first, second = second, first
+        facts.insert(
+            draw(st.integers(0, len(facts))),
+            Assertion(first, second, draw(st.sampled_from(AssertionKind))),
+        )
+    return facts
+
+
+@settings(max_examples=300, deadline=None)
+@given(facts=random_fact_lists())
+def test_batch_engine_agrees_with_the_naive_fixpoint(facts):
+    outcome = propagate(facts)
+    naive = naive_closure(objects_of(facts), facts)
+    assert (outcome.culprit is None) == (naive is not None)
+    if naive is None:
+        return
+    table, derived = naive
+    assert outcome.domains == table
+    solution = ConstraintSolver(facts).solve()
+    assert derived_keys({a.pair: a for a in solution.derived}) == derived
