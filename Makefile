@@ -28,7 +28,8 @@ test-deprecations:
 ##            equivalence edit <= 25% of the OCS cells
 ##            (BENCH_incremental.json)
 ## kernel:    per-event bus cost <= 5% of an incremental retract;
-##            snapshot restore <= 50 ms (docs/ARCHITECTURE.md)
+##            paper-world restore (baseline + replay) <= 50 ms
+##            (docs/ARCHITECTURE.md)
 ## crash:     crash-anywhere properties; WAL commit <= 5% of an
 ##            incremental retract; paper recovery <= 50 ms
 ##            (docs/DURABILITY.md)

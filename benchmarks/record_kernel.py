@@ -9,9 +9,10 @@ practice:
   baseline (the single-retract time recorded by
   ``benchmarks/record_incremental.py``, recomputed here so the gate is
   self-contained).
-* **snapshot restore** — checking out the paper's full sc1/sc2 world
-  (declarations, assertions, integration) from an exported snapshot
-  must stay interactive.  Gate: at most 50 ms.
+* **snapshot restore** — restoring the paper's full sc1/sc2 world
+  (declarations, assertions, integration) from its exported kernel
+  state, by baseline + replay of the log, must stay interactive.  Gate:
+  at most 50 ms.
 
 Run:  PYTHONPATH=src python benchmarks/record_kernel.py
 Exits non-zero when a gate fails (the ``make kernel-smoke`` contract).
@@ -74,7 +75,6 @@ def build_paper_world() -> AnalysisSession:
 def measure_snapshot_restore() -> dict:
     """Export the paper world, then time restore + checkout of its head."""
     session = build_paper_world()
-    session.kernel.snapshot()
     state = session.kernel.export_state()
 
     def restore() -> None:

@@ -30,12 +30,14 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import harness
 from harness import SC1_DDL, SC2_DDL, Gates, percentile
 from repro import faults
 from repro.errors import ReproError
 from repro.faults import FaultPlan, InjectedCrash
+from repro.kernel import wal as wal_module
 from repro.replication import (
     ReplicaApplier,
     payload_fingerprint,
@@ -227,7 +229,7 @@ def chaos_move(session: ToolSession, save: Path, rng: random.Random):
         elif roll < 0.75:
             session.undo()
         elif roll < 0.9:
-            session.analysis.kernel.snapshot()
+            session.analysis.kernel.wal.rotate()
         else:
             session.save(save)  # checkpoint: WAL generation reset
     except ReproError:
@@ -270,7 +272,10 @@ def chaos_run(target_events: int):
     divergent = 0
     observations = 0
     crashes = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    # a segment every 3 commits: the stream crosses rotations
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        wal_module, "SEGMENT_COMMITS", 3
+    ):
         save = Path(tmp) / "leader.json"
         session = ToolSession.open(save)
         committed = {fingerprint(session)}
@@ -278,7 +283,6 @@ def chaos_run(target_events: int):
         committed.add(fingerprint(session))
         session.adopt_schema(build_sc2())
         committed.add(fingerprint(session))
-        session.analysis.kernel.snapshot_every = 3
         shipper = WalShipper(f"{save}.wal")
         applier = ReplicaApplier()
         episode = 0
@@ -306,7 +310,6 @@ def chaos_run(target_events: int):
                     if leader_died:
                         crashes += 1
                         session = ToolSession.open(save)
-                        session.analysis.kernel.snapshot_every = 3
                         committed.add(fingerprint(session))
                     observed = applier.fingerprint()
                     if observed is not None:

@@ -62,7 +62,7 @@ class DataDictionary:
         self._mappings: dict[str, dict[str, SchemaMapping]] = {}
         #: federated plans per result name, keyed by request text
         self._plans: dict[str, dict[str, dict[str, Any]]] = {}
-        #: the kernel's exported event log + snapshots (None on legacy saves)
+        #: the kernel's exported event log + baseline (None on legacy saves)
         self._kernel: dict[str, Any] | None = None
 
     # -- content -------------------------------------------------------------
@@ -154,10 +154,10 @@ class DataDictionary:
         }
 
     def store_kernel(self, state: dict[str, Any]) -> None:
-        """Persist a kernel's event log + snapshots + cursors.
+        """Persist a kernel's event log + baseline + cursors.
 
         ``state`` is :meth:`repro.kernel.Kernel.export_state` output; a
-        session restored from it replays from the nearest snapshot and
+        session restored from it replays from the baseline and
         keeps its history (undo/redo work across save/load).
         """
         self._kernel = dict(state)

@@ -178,7 +178,7 @@ class AnalysisSession:
         ``cascade=True`` on the drop to retract them as part of the
         repair).  Destructive edits — retracted assertions, equivalence
         memberships lost with a dropped attribute — record no event
-        inverse, so undo falls back to a snapshot checkout; everything
+        inverse, so undo falls back to a checkout; everything
         else undoes by applying the inverse edit.
 
         Returns an :class:`~repro.evolution.repair.EditOutcome` carrying

@@ -106,7 +106,7 @@ class EditOutcome:
     and ``scope`` the repair accounting.  ``destructive`` marks edits
     whose inverse edit alone cannot restore the prior state (retracted
     assertions, lost equivalence memberships) — the kernel records no
-    event inverse for those and undo falls back to a snapshot checkout.
+    event inverse for those and undo falls back to a checkout.
     """
 
     edit: "SchemaEdit"

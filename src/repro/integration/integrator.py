@@ -46,8 +46,9 @@ def canonical_assertions(network: AssertionNetwork) -> list[Assertion]:
     """The network's assertions in history-independent order.
 
     Specification order varies with the DDA's path through a sitting and
-    is deliberately dropped by the canonical state payload (snapshots,
-    persistence), so a restored session re-specifies in sorted order.
+    is deliberately dropped by the canonical state payload (the kernel's
+    baseline, a rollback's entry state), so a session rebuilt from one
+    re-specifies in sorted order.
     Integration output must be identical either way — every pass over the
     network iterates in this order, sorted by endpoint names.
     :meth:`Integrator.integrate` sorts once per network per call and

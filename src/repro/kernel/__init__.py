@@ -1,7 +1,7 @@
 """`repro.kernel` — the event-sourced core every layer mutates through.
 
 One :class:`EventBus` carries every mutation in the system as an
-:class:`Event`; the :class:`Kernel` adds transactions, snapshots,
+:class:`Event`; the :class:`Kernel` adds transactions, checkout,
 undo/redo and persistence on top.  Caches and matrices subscribe to the
 bus, the audit log taps it, the data dictionary serialises it — the
 event log is the source of truth (see ``docs/ARCHITECTURE.md``).

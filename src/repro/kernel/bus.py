@@ -3,7 +3,7 @@
 The bus is deliberately small: :meth:`EventBus.publish` appends an
 :class:`~repro.kernel.events.Event` to the log and notifies matching
 subscribers, all under one re-entrant lock.  Everything else the kernel
-offers — transactions, snapshots, undo/redo — is built on three bus
+offers — transactions, checkout, undo/redo — is built on three bus
 facilities:
 
 * **Replay mode** (:meth:`EventBus.replaying`): while active, publishes
@@ -209,7 +209,7 @@ class EventBus:
         ``(scope, action, payload)`` tuple the kernel can re-apply,
         :data:`~repro.kernel.events.NO_CHANGE` for no-op events, or
         ``None`` when the mutation is not cheaply invertible (undo then
-        falls back to a snapshot checkout).
+        falls back to a checkout).
         """
         if payload is None:
             payload = {}
@@ -275,7 +275,7 @@ class EventBus:
         """Replace the log with serialised events (no notifications).
 
         Inverses are not serialised, so undo over a restored log goes
-        through snapshot checkouts until new live events are committed.
+        through checkouts until new live events are committed.
         """
         with self._lock:
             self._events = [Event.from_dict(entry) for entry in entries]

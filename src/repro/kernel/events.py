@@ -50,7 +50,7 @@ NO_CHANGE = _NoChange()
 #: An applicable inverse: ``(scope, action, payload)`` re-dispatched
 #: through :func:`repro.kernel.apply.apply_event`, or :data:`NO_CHANGE`.
 #: ``None`` (no inverse recorded) means the event is not cheaply
-#: invertible and undo falls back to a snapshot checkout.
+#: invertible and undo falls back to a checkout.
 Inverse = "tuple[str, str, dict[str, Any]] | _NoChange | None"
 
 

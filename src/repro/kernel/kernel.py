@@ -12,15 +12,16 @@ book-keeping that turns a flat event log into a session's history:
   all-or-nothing: on an exception the events committed inside are
   dropped from the log and the session is rebuilt from the state it
   entered with.
-* **snapshots** — periodic :class:`~repro.kernel.snapshots.Snapshot`
-  records of the session state, taken at an outermost commit, so
-  :meth:`checkout` restores any offset by *nearest snapshot + tail
-  replay* instead of full replay.
+* **one snapshot** — the :class:`~repro.kernel.snapshots.Snapshot` at
+  the baseline: empty for a fresh log, or the session state that
+  :meth:`set_baseline` recorded after a legacy restore.  :meth:`checkout`
+  restores any offset by *baseline + replay*, and so do restore,
+  rehydration, replica reads and the undo fallback.
 * **undo/redo** — group-wise time travel: :meth:`undo` reverts the most
   recent effectful transaction (skipping no-op groups such as recorded
   conflicts), :meth:`redo` re-applies up to the next effectful one.
 * **persistence** — :meth:`export_state` / :meth:`restore` round-trip
-  the log + snapshots through the data dictionary; restoring a session
+  the log + baseline through the data dictionary; restoring a session
   is ``Kernel.restore(...)`` followed by :meth:`checkout` of the saved
   head.
 
@@ -58,20 +59,15 @@ class _CommandView:
 
 
 class Kernel:
-    """Event log + head cursor + snapshots for one analysis session."""
+    """Event log + head cursor + baseline snapshot for one analysis session."""
 
-    def __init__(
-        self, *, bus: EventBus | None = None, snapshot_every: int = 64
-    ) -> None:
+    def __init__(self, *, bus: EventBus | None = None) -> None:
         self.bus = bus if bus is not None else EventBus()
         #: the bound session (:meth:`bind`); time travel rebuilds it in place
         self.session: "AnalysisSession | None" = None
-        #: events per automatic snapshot (taken at group commit)
-        self.snapshot_every = snapshot_every
         self._head = self.bus.offset
-        self._baseline = self.bus.offset
-        self._snapshots: list[Snapshot] = []
-        self._events_since_snapshot = 0
+        #: the state at the baseline offset; every rebuild starts here
+        self._base = Snapshot(self.bus.offset, {})
         #: integration results by the offset of their ``session.integrate``
         #: event — lets the tool resync its displayed result after time travel
         self._results_by_offset: "dict[int, IntegrationResult]" = {}
@@ -100,20 +96,19 @@ class Kernel:
     @property
     def baseline(self) -> int:
         """The earliest offset time travel may reach (see :meth:`set_baseline`)."""
-        return self._baseline
+        return self._base.offset
 
     def set_baseline(self) -> None:
         """Make the current state the floor for undo/checkout.
 
-        Records a snapshot at the head so checkouts never need events
-        older than it — used after restoring from a persisted dictionary
-        whose log was not saved (legacy format), where pre-restore
-        history simply does not exist.
+        Replaces the baseline snapshot with the state at the head, so
+        checkouts never need events older than it — used after restoring
+        from a persisted dictionary whose log was not saved (legacy
+        format), where pre-restore history simply does not exist.
         """
         with self.bus.lock:
-            self._baseline = self._head
-            self._snapshots.append(
-                Snapshot(self._head, self._require_session().state_payload())
+            self._base = Snapshot(
+                self._head, self._require_session().state_payload()
             )
 
     def _require_session(self) -> "AnalysisSession":
@@ -124,13 +119,8 @@ class Kernel:
     # -- live-publish hooks ------------------------------------------------------
 
     def _truncate(self, offset: int) -> None:
-        """Cut history at ``offset``: events, snapshots and cached results."""
+        """Cut history at ``offset``: events and cached results."""
         self.bus.truncate(offset)
-        self._snapshots = [
-            snapshot
-            for snapshot in self._snapshots
-            if snapshot.offset <= offset
-        ]
         self._results_by_offset = {
             at: result
             for at, result in self._results_by_offset.items()
@@ -146,7 +136,6 @@ class Kernel:
     def _after_live_publish(self, event: Event) -> None:
         self._live_publishes += 1
         self._head = event.offset
-        self._events_since_snapshot += 1
         if self.wal is not None:
             self._wal_events.append(event)
             if self.bus.active_txn is None:
@@ -174,14 +163,12 @@ class Kernel:
                     "t": "base",
                     "offset": self.bus.offset,
                     "head": self._head,
-                    "baseline": self._baseline,
+                    "baseline": self._base.offset,
                 }
                 if self.bus.offset > 0:
                     base["state"] = self.export_state()
-                else:
-                    anchor = self._best_snapshot(self._baseline)
-                    if anchor.state:
-                        base["snapshot"] = anchor.to_dict()
+                elif self._base.state:
+                    base["snapshot"] = self._base.to_dict()
                 wal.append(base)
 
     def _wal_commit(self) -> None:
@@ -202,7 +189,7 @@ class Kernel:
         The rolled-back *events* vanish without trace, but a staged
         redo-tail truncation must still be journaled:
         ``_before_live_publish`` already destroyed the tail in memory
-        (events, snapshots and cached results past the head are gone,
+        (events and cached results past the head are gone,
         and rollback does not resurrect them), so without a durable
         record a crash-recovered kernel — or a replica replaying the
         shipped WAL — would resurrect a redo tail the live kernel no
@@ -225,9 +212,8 @@ class Kernel:
     def group(self) -> Iterator[int | None]:
         """Commit the mutations inside as one undo/redo unit.
 
-        Thin wrapper over :meth:`EventBus.grouped` that also takes the
-        periodic snapshot at an outermost commit (never mid-transaction,
-        where a rollback could strand it).  No rollback on exception — a
+        Thin wrapper over :meth:`EventBus.grouped` that also journals
+        an outermost commit to the WAL.  No rollback on exception — a
         recorded conflict legitimately stays in the log; use
         :meth:`transaction` for all-or-nothing semantics.
         """
@@ -239,8 +225,6 @@ class Kernel:
                 # no rollback on exception — whatever committed stays in
                 # the log, so it must reach the WAL too
                 self._wal_commit()
-            if self.bus.active_txn is None and not self.bus.replaying_now:
-                self._maybe_snapshot()
 
     @contextmanager
     def transaction(self) -> Iterator[int | None]:
@@ -278,7 +262,6 @@ class Kernel:
                 raise
             else:
                 self._wal_commit()
-                self._maybe_snapshot()
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -302,63 +285,30 @@ class Kernel:
             )
         return results[-1] if results else None
 
-    # -- snapshots ---------------------------------------------------------------
-
-    def snapshot(self) -> Snapshot:
-        """Record the session's current state at the head offset."""
-        with self.bus.lock:
-            record = Snapshot(
-                self._head, self._require_session().state_payload()
-            )
-            self._snapshots.append(record)
-            self._events_since_snapshot = 0
-            if self.wal is not None and not self.bus.replaying_now:
-                self.wal.rotate()
-            return record
-
-    def snapshots(self) -> list[Snapshot]:
-        return list(self._snapshots)
-
-    def _maybe_snapshot(self) -> None:
-        if self._events_since_snapshot >= self.snapshot_every:
-            self.snapshot()
-
-    def _best_snapshot(self, offset: int) -> Snapshot:
-        """The latest usable snapshot at or before ``offset``."""
-        best: Snapshot | None = None
-        for snapshot in self._snapshots:
-            if snapshot.offset <= offset and (
-                best is None or snapshot.offset >= best.offset
-            ):
-                best = snapshot
-        if best is None:
-            if self._baseline > 0:
-                raise KernelError(
-                    f"no snapshot covers offset {offset} "
-                    f"(baseline {self._baseline})"
-                )
-            best = Snapshot(0, {})
-        return best
-
     # -- time travel -------------------------------------------------------------
 
     def checkout(self, offset: int) -> None:
         """Restore the session to its state after ``offset`` events.
 
-        Rebuilds from the nearest snapshot at or before ``offset`` and
-        replays the tail.  The log is untouched — events past ``offset``
+        Rebuilds from the baseline snapshot and replays the log up to
+        ``offset``.  The log is untouched — events past ``offset``
         remain available to :meth:`redo` until a new live mutation
         truncates them.
         """
         with self.bus.lock:
-            if offset < self._baseline or offset > self.bus.offset:
+            base = self._base
+            if offset < base.offset or offset > self.bus.offset:
                 raise KernelError(
                     f"offset {offset} outside "
-                    f"[{self._baseline}, {self.bus.offset}]"
+                    f"[{base.offset}, {self.bus.offset}]"
                 )
-            snapshot = self._best_snapshot(offset)
-            self._rebuild_state(snapshot.state)
-            for event in self.bus.events(snapshot.offset, offset):
+            if base.offset > 0 and not base.state:
+                raise KernelError(
+                    f"no snapshot covers offset {offset} "
+                    f"(baseline {base.offset})"
+                )
+            self._rebuild_state(base.state)
+            for event in self.bus.events(base.offset, offset):
                 self._replay_one(event)
             self._head = offset
             self._resnapshot_audit()
@@ -420,11 +370,11 @@ class Kernel:
         A group is the contiguous run of same-transaction events.
         """
         end = self._head
-        while end > self._baseline:
+        while end > self._base.offset:
             txn = self.bus.event_at(end).txn
             start = end - 1
             while (
-                start > self._baseline
+                start > self._base.offset
                 and self.bus.event_at(start).txn == txn
             ):
                 start -= 1
@@ -508,7 +458,8 @@ class Kernel:
         integrate event it patched.
         """
         with self.bus.lock:
-            for event in reversed(self.bus.events(self._baseline, self._head)):
+            history = self.bus.events(self._base.offset, self._head)
+            for event in reversed(history):
                 if event.scope == "session" and event.action == "integrate":
                     return self._results_by_offset.get(event.offset)
                 if event.scope == "evolution" and event.action == "apply_edit":
@@ -524,15 +475,18 @@ class Kernel:
     # -- persistence -------------------------------------------------------------
 
     def export_state(self) -> dict[str, Any]:
-        """The log, snapshots and cursors in JSON-friendly form."""
+        """The log, baseline snapshot and cursors in JSON-friendly form.
+
+        ``snapshots`` holds the baseline snapshot when it carries state
+        (a legacy restore), else nothing.
+        """
         with self.bus.lock:
+            base = self._base
             return {
                 "head": self._head,
-                "baseline": self._baseline,
+                "baseline": base.offset,
                 "events": self.bus.to_dicts(),
-                "snapshots": [
-                    snapshot.to_dict() for snapshot in self._snapshots
-                ],
+                "snapshots": [base.to_dict()] if base.state else [],
             }
 
     @classmethod
@@ -541,14 +495,21 @@ class Kernel:
 
         The caller binds a fresh session and then checks out the saved
         head: ``kernel.checkout(state["head"])`` — restore *is*
-        replay-from-snapshot.
+        baseline + replay.  Of the ``snapshots`` entries only the one at
+        the baseline offset is read; older exports also carried periodic
+        ones, which are ignored.
         """
         kernel = cls()
         kernel.bus.load_dicts(state.get("events", ()))
-        kernel._snapshots = [
-            Snapshot.from_dict(entry) for entry in state.get("snapshots", ())
-        ]
-        kernel._baseline = int(state.get("baseline", 0))
+        baseline = int(state.get("baseline", 0))
+        kernel._base = next(
+            (
+                Snapshot.from_dict(entry)
+                for entry in state.get("snapshots", ())
+                if int(entry["offset"]) == baseline
+            ),
+            Snapshot(baseline, {}),
+        )
         kernel._head = 0
         return kernel
 

@@ -250,9 +250,11 @@ def merge_wal_records(
 
     Pure data manipulation on ``export_state``-shaped dicts — no live
     kernel involved.  Duplicate events (offsets the base already holds)
-    are skipped, ``truncate`` drops the recorded redo tail, and a record
-    that does not *extend* the log stops replay with
-    ``report.replay_stopped`` set rather than guessing.  Crash recovery
+    are skipped, ``truncate`` drops the recorded redo tail, ``snapshots``
+    passes through unchanged (the kernel reads only the baseline's entry,
+    which no truncate can reach), and a record that does not *extend*
+    the log stops replay with ``report.replay_stopped`` set rather than
+    guessing.  Crash recovery
     (:class:`RecoveryManager`) and continuous replica apply
     (:class:`repro.replication.ReplicaApplier`) share this function, so
     a follower replaying shipped records converges on exactly the state
@@ -306,11 +308,6 @@ def merge_wal_records(
             if truncate is not None:
                 truncate = int(truncate)
                 del events[truncate:]
-                snapshots = [
-                    snapshot
-                    for snapshot in snapshots
-                    if int(snapshot.get("offset", 0)) <= truncate
-                ]
                 head = min(head, truncate)
             stopped = False
             for event in record.get("events", ()):

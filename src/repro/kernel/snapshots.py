@@ -1,12 +1,13 @@
-"""Snapshots: cheap absolute statements of session state at a log offset.
+"""Snapshots: absolute statements of session state at a log offset.
 
 A :class:`Snapshot` pairs an event-log offset with the session's
 replayable state payload at that offset (the same ``schemas`` /
 ``equivalences`` / ``assertions`` shape the audit log's
-``session.snapshot`` events carry).  Restoring any offset is then
-*nearest snapshot + replay of the tail* — the kernel's ``checkout``,
-persistence-restore and undo fallback all run through
-:func:`apply_state`.
+``session.snapshot`` events carry).  A kernel keeps one, at its
+baseline: restoring any offset is *baseline + replay of the log* — the
+kernel's ``checkout``, persistence-restore and undo fallback all start
+with :func:`apply_state` on it.  A failed transaction rebuilds its entry
+state through :func:`apply_state` too.
 """
 
 from __future__ import annotations

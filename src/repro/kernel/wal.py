@@ -11,9 +11,10 @@ that was in flight.
 Format (see ``docs/DURABILITY.md``):
 
 * A WAL is a **directory** of segment files ``wal-<10 digits>.seg``,
-  replayed in name order.  Segments rotate at snapshot boundaries
-  (:meth:`rotate`) and the whole generation resets at a checkpoint —
-  a successful dictionary save (:meth:`reset`).
+  replayed in name order.  The WAL rotates to a new segment by itself
+  after every :data:`SEGMENT_COMMITS` commit records (:meth:`rotate`)
+  and the whole generation resets at a checkpoint — a successful
+  dictionary save (:meth:`reset`).
 * Each record is **length-prefixed and CRC-checksummed**: an 8-byte
   header ``struct.pack("<II", length, crc32(payload))`` followed by the
   payload — one JSON object encoded as a single UTF-8 line (the JSONL
@@ -54,6 +55,10 @@ _HEADER = struct.Struct("<II")
 
 #: Segment filenames: ``wal-0000000001.seg``, sortable lexicographically.
 _SEGMENT_GLOB = "wal-*.seg"
+
+#: Commit records per segment: :meth:`WriteAheadLog.commit` rotates after
+#: this many, so a segment always ends between two commit records.
+SEGMENT_COMMITS = 64
 
 
 def _segment_name(index: int) -> str:
@@ -126,6 +131,8 @@ class WriteAheadLog:
         self.sync = sync
         self._file: "faults._TrackedFile | None" = None
         self._segment_index = 0
+        #: commit records written to the active segment by this process
+        self._commits = 0
         self.open_report = self._scan()
         self._open_active_segment()
 
@@ -203,12 +210,16 @@ class WriteAheadLog:
         The whole group travels in a single record — a single checksum
         unit — so recovery either sees the full transaction or none of
         it.  ``truncate`` records that the commit first dropped the redo
-        tail past that offset (linear-history branching).
+        tail past that offset (linear-history branching).  Every
+        :data:`SEGMENT_COMMITS`-th commit then rotates the segment.
         """
         record: dict[str, Any] = {"t": "commit", "events": events}
         if truncate is not None:
             record["truncate"] = truncate
         self.append(record)
+        self._commits += 1
+        if self._commits >= SEGMENT_COMMITS:
+            self.rotate()
 
     def record_head(self, offset: int) -> None:
         """Record an undo/redo/checkout cursor move (no new events)."""
@@ -236,12 +247,13 @@ class WriteAheadLog:
     # -- lifecycle -----------------------------------------------------------
 
     def rotate(self) -> None:
-        """Close the active segment and start the next (snapshot boundary)."""
+        """Close the active segment and start the next."""
         if self._file is None:
             raise WalError("write-ahead log is closed")
         faults.crashpoint("wal.rotate.before_create")
         self._file.fsync()
         self._file.close()
+        self._commits = 0
         self._segment_index += 1
         self._file = faults.open_tracked(
             self.directory / _segment_name(self._segment_index), "ab"
@@ -272,6 +284,7 @@ class WriteAheadLog:
         for stale in self.directory.glob("wal-*.corrupt"):
             stale.unlink()
         self._segment_index = 1
+        self._commits = 0
         self._file = faults.open_tracked(
             self.directory / _segment_name(1), "ab"
         )
@@ -290,4 +303,10 @@ class WriteAheadLog:
         self.close()
 
 
-__all__ = ["WalOpenReport", "WriteAheadLog", "encode_record", "scan_records"]
+__all__ = [
+    "SEGMENT_COMMITS",
+    "WalOpenReport",
+    "WriteAheadLog",
+    "encode_record",
+    "scan_records",
+]

@@ -8,12 +8,13 @@ job on open — and answers "what happened since this cursor?" with a
 Positions are logical, not physical: a :class:`ShipCursor` is
 ``(generation, records shipped so far)``.  Segment boundaries are the
 shipper's problem — records are counted across the whole sorted
-``wal-*.seg`` chain, so a snapshot-triggered rotation hands off from
-``wal-N.seg`` to ``wal-N+1.seg`` without skipping or duplicating the
-straddling record.  The *generation* identifies one WAL lifetime: a
-checkpoint ``reset`` starts a new first segment with a new ``base``
-record, which changes the generation id and tells the follower to adopt
-the stream from scratch rather than append to stale state.
+``wal-*.seg`` chain, so a rotation (the WAL starts a new segment every
+``SEGMENT_COMMITS`` commit records) hands off from ``wal-N.seg`` to
+``wal-N+1.seg`` without skipping or duplicating the straddling record.
+The *generation* identifies one WAL lifetime: a checkpoint ``reset``
+starts a new first segment with a new ``base`` record, which changes
+the generation id and tells the follower to adopt the stream from
+scratch rather than append to stale state.
 
 Damage discipline on read:
 

@@ -149,7 +149,7 @@ def run_replay(manager: SessionManager, job: Job) -> dict[str, Any]:
     """Job kind ``replay``: audit the session's event log end to end.
 
     Exports the kernel state, re-derives a fresh session from it
-    (nearest snapshot + tail replay — the same machinery recovery uses)
+    (baseline + replay — the same machinery recovery uses)
     and verifies the replica's state fingerprint matches the live one.
     """
     session_id = job.params["session_id"]

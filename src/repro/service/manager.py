@@ -16,7 +16,7 @@ Residency is bounded two ways, enforced after every release:
 * **LRU count** — at most ``max_resident`` kernels stay live; the
   least-recently-used idle session is parked first.
 * **memory watermark** — the sum of estimated kernel sizes (serialized
-  event log + snapshots) stays under ``max_resident_bytes``.
+  event log + baseline) stays under ``max_resident_bytes``.
 
 Sessions pinned by a background job (:mod:`repro.service.jobs`) are
 never auto-evicted, and an explicit eviction of a pinned session raises

@@ -438,9 +438,9 @@ class ToolSession:
     def from_dictionary(cls, dictionary) -> "ToolSession":
         """Rebuild a live session from a saved dictionary.
 
-        New-format dictionaries carry the kernel's event log + snapshots:
-        the session is restored by replaying from the nearest snapshot to
-        the saved head (fingerprint-verified), and its history stays
+        New-format dictionaries carry the kernel's event log + baseline:
+        the session is restored by replaying from the baseline to the
+        saved head (fingerprint-verified), and its history stays
         undo-able.  Legacy dictionaries without a kernel record rebuild
         the components directly and start a fresh history at the restored
         state (``set_baseline``).
@@ -452,10 +452,10 @@ class ToolSession:
         """Re-derive a session from an exported kernel state alone.
 
         ``state`` is :meth:`~repro.kernel.kernel.Kernel.export_state`
-        output: the event log, snapshots and cursors.  The session is
-        rebuilt by nearest-snapshot + tail replay — the same machinery
-        recovery uses — so the service's audit-replay jobs can verify a
-        live session against its own history without touching disk.
+        output: the event log, baseline and cursors.  The session is
+        rebuilt by baseline + replay — the same machinery recovery uses —
+        so the service's audit-replay jobs can verify a live session
+        against its own history without touching disk.
         """
         return cls._rebuild(None, state)
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
 from repro.faults import CRASHPOINTS, FaultPlan, InjectedCrash
+from repro.kernel import wal as wal_module
 from repro.tool.session import ToolSession
 from repro.workloads.university import build_sc1, build_sc2
 
@@ -48,13 +50,16 @@ crash_plans = st.builds(
     save_at=st.integers(min_value=-1, max_value=8),
 )
 def test_recovery_is_a_prefix_of_committed_transactions(ops, plan, save_at):
-    with tempfile.TemporaryDirectory() as tmp:
+    # a segment every 2 commits → WAL rotation inside the sitting
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        wal_module, "SEGMENT_COMMITS", 2
+    ):
         path = Path(tmp) / "session.json"
         session = ToolSession.open(path)
         session.adopt_schema(build_sc1())
         session.adopt_schema(build_sc2())
-        # frequent snapshots → WAL segment rotation inside the sitting
-        session.analysis.kernel.snapshot_every = 2
+        segments = list(Path(f"{path}.wal").glob("wal-*.seg"))
+        assert len(segments) >= 2, "the drive must cross a rotation"
         # every state a recovery may legitimately land on: after the
         # schemas (the last pre-fault commit) and after each later op
         committed = [fingerprint(session.analysis)]

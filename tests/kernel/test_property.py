@@ -2,9 +2,10 @@
 
 Over random DDA sittings on the paper's sc1/sc2:
 
-(a) restoring from *any* snapshot and replaying the tail reaches a state
-    bitwise-identical (SHA-256 over canonical JSON) to replaying the
-    full log from scratch; and
+(a) restoring from the exported state — the baseline snapshot, taken at
+    any point of the sitting, plus replay of the log past it — reaches a
+    state bitwise-identical (SHA-256 over canonical JSON) to the live
+    session and to replaying the full log from scratch; and
 (b) checking out *any* prefix of the log equals re-running exactly that
     prefix against a fresh session.
 """
@@ -114,12 +115,21 @@ def fingerprint(session: AnalysisSession) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def drive(ops, *, snapshot_every: int | None = None) -> AnalysisSession:
+def drive(ops, *, baseline_at: int | None = None) -> AnalysisSession:
+    """Run ``ops`` on a fresh sc1/sc2 session.
+
+    With ``baseline_at``, the kernel's baseline snapshot is taken after
+    that many operations (as a legacy restore does), so a later restore
+    rebuilds through :func:`~repro.kernel.snapshots.apply_state` before
+    it replays the rest of the log.
+    """
     session = AnalysisSession([build_sc1(), build_sc2()])
-    if snapshot_every is not None:
-        session.kernel.snapshot_every = snapshot_every
-    for operation in ops:
+    for index, operation in enumerate(ops):
+        if index == baseline_at:
+            session.kernel.set_baseline()
         apply_operation(session, operation)
+    if baseline_at is not None and baseline_at >= len(ops):
+        session.kernel.set_baseline()
     return session
 
 
@@ -139,10 +149,24 @@ def replay_prefix(events, offset: int) -> AnalysisSession:
     return fresh
 
 
+def restore(state) -> AnalysisSession:
+    """Kernel.restore + checkout of the saved head, as every reload does."""
+    from repro.kernel import Kernel
+
+    restored_kernel = Kernel.restore(state)
+    restored = AnalysisSession(kernel=restored_kernel)
+    restored_kernel.checkout(state["head"])
+    return restored
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(operations, max_size=15), st.data())
 def test_snapshot_plus_tail_equals_full_replay(ops, data):
-    live = drive(ops, snapshot_every=3)  # snapshots accumulate while driving
+    baseline_at = data.draw(
+        st.none() | st.integers(min_value=0, max_value=len(ops)),
+        label="baseline_at",
+    )
+    live = drive(ops, baseline_at=baseline_at)
     kernel = live.kernel
     final = fingerprint(live)
     events = kernel.bus.events()
@@ -150,43 +174,66 @@ def test_snapshot_plus_tail_equals_full_replay(ops, data):
     # full replay from scratch
     assert fingerprint(replay_prefix(events, len(events))) == final
 
-    # restore from a snapshot + tail replay (export/restore keeps all
-    # snapshots; checkout picks the nearest one at or below the head)
+    # restore: the baseline snapshot (if any) + replay of the log past it
     state = kernel.export_state()
+    assert len(state["snapshots"]) == (0 if baseline_at is None else 1)
 
-    from repro.kernel import Kernel
+    assert fingerprint(restore(state)) == final
 
-    restored_kernel = Kernel.restore(state)
-    restored = AnalysisSession(kernel=restored_kernel)
-    restored_kernel.checkout(state["head"])
-    assert fingerprint(restored) == final
+
+#: two containments specified "out of order" around an equivalence
+#: remove, then integrate
+ORDER_SENSITIVE_OPS = [
+    ("declare", "sc1.Student.Name", "sc1.Student.GPA"),
+    ("specify", "sc2.Grad_student", "sc1.Department", 2),
+    ("remove", "sc1.Student.Name"),
+    ("specify", "sc1.Student", "sc2.Grad_student", 3),
+    ("integrate",),
+]
 
 
 def test_snapshot_restore_is_insensitive_to_assertion_order():
     """Regression: integration output must not depend on specification order.
 
-    Snapshots store the canonical state payload, which sorts assertions —
-    so a restored session re-specifies them in sorted, not historical,
-    order.  This exact sequence (two containments specified "out of order"
-    around an equivalence remove, then integrate) used to replay a
-    different ``parents`` order on the integrated category and fail the
-    fingerprint check in ``checkout``.
+    A snapshot stores the canonical state payload, which sorts
+    assertions — so :func:`~repro.kernel.snapshots.apply_state`
+    re-specifies them in sorted, not historical, order.  With the
+    baseline taken before the integrate, restoring rebuilds the baseline
+    that way and then replays the integrate, whose fingerprint check
+    used to fail on a different ``parents`` order of the integrated
+    category.
     """
-    from repro.kernel import Kernel
-
-    ops = [
-        ("declare", "sc1.Student.Name", "sc1.Student.GPA"),
-        ("specify", "sc2.Grad_student", "sc1.Department", 2),
-        ("remove", "sc1.Student.Name"),
-        ("specify", "sc1.Student", "sc2.Grad_student", 3),
-        ("integrate",),
-    ]
-    live = drive(ops, snapshot_every=3)
+    live = drive(ORDER_SENSITIVE_OPS, baseline_at=4)
     state = live.kernel.export_state()
-    restored_kernel = Kernel.restore(state)
-    restored = AnalysisSession(kernel=restored_kernel)
-    restored_kernel.checkout(state["head"])  # used to raise ReplayError
+    restored = restore(state)  # used to raise ReplayError
     assert fingerprint(restored) == fingerprint(live)
+    assert restored.kernel.result_at_head() is not None
+
+
+def test_rollback_rebuild_is_insensitive_to_assertion_order():
+    """The same case through a published-then-failed transaction.
+
+    The rollback rebuilds the entry state through ``apply_state`` (sorted
+    re-specify); the integrate after it must produce the schema a session
+    that never rolled back produces, and reload to the live state.
+    """
+    from repro.ecr.json_io import schema_to_dict
+
+    plain = drive(ORDER_SENSITIVE_OPS)
+    live = drive(ORDER_SENSITIVE_OPS[:4])
+    try:
+        with live.kernel.transaction():
+            apply_operation(
+                live, ("declare", "sc1.Department.Name", "sc2.Faculty.Name")
+            )
+            raise _Abort()
+    except _Abort:
+        pass
+    assert fingerprint(live) == fingerprint(drive(ORDER_SENSITIVE_OPS[:4]))
+    result = live.integrate("sc1", "sc2")
+    expected = plain.kernel.result_at_head()
+    assert schema_to_dict(result.schema) == schema_to_dict(expected.schema)
+    assert fingerprint(restore(live.kernel.export_state())) == fingerprint(live)
 
 
 @settings(max_examples=20, deadline=None)
@@ -220,22 +267,15 @@ time_travel_operations = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(time_travel_operations, min_size=1, max_size=10),
-    st.integers(min_value=1, max_value=4),
-)
-def test_rollback_and_time_travel_keep_the_saved_history_true(
-    ops, snapshot_every
-):
+@given(st.lists(time_travel_operations, min_size=1, max_size=10))
+def test_rollback_and_time_travel_keep_the_saved_history_true(ops):
     """Rollbacks, undo and redo leave a log that reloads to the live state.
 
     After every step, restoring the exported kernel state and checking
     out its head fingerprints equal to the live session, and a redo that
     finds nothing to re-apply leaves the head where it was.
     """
-    from repro.kernel import Kernel
-
-    live = drive([], snapshot_every=snapshot_every)
+    live = drive([])
     kernel = live.kernel
     for operation in ops:
         verb = operation[0]
@@ -255,8 +295,6 @@ def test_rollback_and_time_travel_keep_the_saved_history_true(
                 assert kernel.head == head
         else:
             apply_operation(live, operation)
-        state = kernel.export_state()
-        restored_kernel = Kernel.restore(state)
-        restored = AnalysisSession(kernel=restored_kernel)
-        restored_kernel.checkout(state["head"])
-        assert fingerprint(restored) == fingerprint(live)
+        assert fingerprint(restore(kernel.export_state())) == fingerprint(
+            live
+        )

@@ -1,12 +1,21 @@
-"""Snapshots and checkout: restoring any offset by snapshot + tail replay."""
+"""Checkout and persistence: restoring any offset by baseline + replay."""
 
 import json
 
 import pytest
 
+from repro.ecr.json_io import schema_to_dict
 from repro.equivalence.session import AnalysisSession
 from repro.errors import KernelError
-from repro.workloads.university import build_sc1, build_sc2
+from repro.kernel import Kernel
+from repro.replication import ReplicaApplier
+from repro.tool.session import ToolSession
+from repro.workloads.university import (
+    PAPER_ASSERTION_CODES,
+    PAPER_RELATIONSHIP_CODES,
+    build_sc1,
+    build_sc2,
+)
 
 DECLARATIONS = [
     ("sc1.Student.Name", "sc2.Grad_student.Name"),
@@ -18,6 +27,13 @@ DECLARATIONS = [
 
 def state_key(session: AnalysisSession) -> str:
     return json.dumps(session.state_payload(), sort_keys=True)
+
+
+def restore(state) -> AnalysisSession:
+    kernel = Kernel.restore(state)
+    restored = AnalysisSession(kernel=kernel)
+    kernel.checkout(state["head"])
+    return restored
 
 
 def rerun_prefix(offset: int) -> AnalysisSession:
@@ -54,28 +70,18 @@ class TestCheckout:
         assert session.kernel.bus.offset == end
         assert session.kernel.head == end - 1
 
-    def test_checkout_uses_the_nearest_snapshot(self, session):
-        kernel = session.kernel
-        session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
-        record = kernel.snapshot()
-        session.declare_equivalent("sc1.Student.GPA", "sc2.Grad_student.GPA")
-        target = state_key(session)
-        assert kernel._best_snapshot(kernel.head) is record
-        kernel.checkout(kernel.bus.offset)
-        assert state_key(session) == target
-
     def test_checkout_outside_range_raises(self, session):
         with pytest.raises(KernelError):
             session.kernel.checkout(session.kernel.bus.offset + 1)
         with pytest.raises(KernelError):
             session.kernel.checkout(-1)
 
-    def test_periodic_snapshots_accumulate(self):
-        session = AnalysisSession([build_sc1(), build_sc2()])
-        session.kernel.snapshot_every = 2
-        for first, second in DECLARATIONS:
-            session.declare_equivalent(first, second)
-        assert len(session.kernel.snapshots()) >= 2
+    def test_a_long_history_keeps_no_snapshot(self, session):
+        for _ in range(40):
+            for first, second in DECLARATIONS:
+                session.declare_equivalent(first, second)
+            session.kernel.undo()
+        assert session.kernel.export_state()["snapshots"] == []
 
     def test_views_track_state_across_checkout(self, session):
         # a cached OCS matrix must follow time travel, not its build state
@@ -97,20 +103,20 @@ class TestPersistence:
         session.integrate("sc1", "sc2")
         state = session.kernel.export_state()
 
-        from repro.kernel import Kernel
-
-        kernel = Kernel.restore(state)
-        restored = AnalysisSession(kernel=kernel)
-        kernel.checkout(state["head"])
+        restored = restore(state)
         assert state_key(restored) == state_key(session)
-        assert kernel.head == session.kernel.head
-        assert kernel.result_at_head() is not None
+        assert restored.kernel.head == session.kernel.head
+        assert restored.kernel.result_at_head() is not None
 
     def test_export_state_is_json_serialisable(self, session):
         session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
-        session.kernel.snapshot()
-        text = json.dumps(session.kernel.export_state())
-        assert "declare_equivalent" in text
+        session.kernel.set_baseline()
+        state = json.loads(json.dumps(session.kernel.export_state()))
+        assert "declare_equivalent" in json.dumps(state)
+        assert [entry["offset"] for entry in state["snapshots"]] == [
+            session.kernel.baseline
+        ]
+        assert state_key(restore(state)) == state_key(session)
 
     def test_legacy_baseline_floors_time_travel(self, session):
         session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
@@ -120,3 +126,200 @@ class TestPersistence:
         assert not kernel.undo()
         with pytest.raises(KernelError):
             kernel.checkout(kernel.baseline - 1)
+
+
+def build_paper_world() -> AnalysisSession:
+    """The paper's sc1/sc2 sitting, integrated at offset 12."""
+    session = AnalysisSession([build_sc1(), build_sc2()])
+    for first, second in DECLARATIONS:
+        session.declare_equivalent(first, second)
+    session.declare_equivalent("sc1.Student.Name", "sc2.Faculty.Name")
+    for first, second, code in PAPER_ASSERTION_CODES:
+        session.specify(first, second, code)
+    for first, second, code in PAPER_RELATIONSHIP_CODES:
+        session.specify(first, second, code, relationships=True)
+    session.integrate("sc1", "sc2")
+    return session
+
+
+def respecify_cycles(session: AnalysisSession, cycles: int) -> None:
+    """Retract and re-specify one paper assertion ``cycles`` times."""
+    first, second, code = PAPER_ASSERTION_CODES[0]
+    for _ in range(cycles):
+        session.retract(first, second)
+        session.specify(first, second, code)
+
+
+class TestRestoreKeepsTheIntegrationResult:
+    """Regression: a restore after a long history lost the integrate result.
+
+    Checkout used to start from the nearest periodic snapshot; with one
+    taken after the last integrate, that event was never replayed and
+    the restored session had no integration result.
+    """
+
+    @pytest.fixture
+    def world(self):
+        session = build_paper_world()
+        integrate = [
+            event.offset
+            for event in session.kernel.bus.events()
+            if event.action == "integrate"
+        ]
+        assert integrate == [12]
+        respecify_cycles(session, 40)  # 80 events past the integrate
+        return session
+
+    def test_restored_session_has_the_live_result(self, world):
+        live = world.kernel.result_at_head()
+        assert live is not None
+        restored = ToolSession.from_kernel_state(world.kernel.export_state())
+        assert restored.result is not None
+        assert restored.result.schema.name == live.schema.name
+        assert schema_to_dict(restored.result.schema) == schema_to_dict(
+            live.schema
+        )
+
+    def test_replica_read_has_the_live_result(self, world):
+        live = world.kernel.result_at_head()
+        applier = ReplicaApplier(state=world.kernel.export_state())
+        replica = applier.session()
+        assert replica.result is not None
+        assert replica.result.schema.name == live.schema.name
+
+
+def parent_format_export(session: AnalysisSession, stale) -> dict:
+    """``export_state`` as the periodic-snapshot kernel wrote it.
+
+    That kernel kept a ``{"offset", "state"}`` entry every few events
+    besides the baseline one; these are taken by checking out every
+    fourth offset.  ``stale`` is one more entry, from a branch a later
+    truncate cut away.
+    """
+    kernel = session.kernel
+    state = kernel.export_state()
+    entries = list(state["snapshots"])
+    for offset in range(kernel.baseline + 4, state["head"] + 1, 4):
+        kernel.checkout(offset)
+        entries.append({"offset": offset, "state": session.state_payload()})
+    kernel.checkout(state["head"])
+    entries.append(stale)
+    entries.sort(key=lambda entry: entry["offset"])
+    return dict(state, snapshots=entries)
+
+
+def branch_with_a_stale_entry(session: AnalysisSession) -> dict:
+    """Declare, keep the state as a snapshot entry, undo, branch off."""
+    session.declare_equivalent("sc1.Department.Name", "sc2.Faculty.Name")
+    stale = {
+        "offset": session.kernel.head,
+        "state": session.state_payload(),
+    }
+    assert session.kernel.undo()
+    session.declare_equivalent("sc2.Department.Name", "sc2.Faculty.Name")
+    assert session.kernel.head == stale["offset"]  # the truncate re-grew
+    return stale
+
+
+class TestParentFormatExports:
+    """Exports with periodic snapshots still load, to the same state."""
+
+    def test_periodic_entries_are_ignored(self):
+        session = build_paper_world()
+        stale = branch_with_a_stale_entry(session)
+        respecify_cycles(session, 10)
+        state = parent_format_export(session, stale)
+        assert len(state["snapshots"]) >= 8
+
+        restored = ToolSession.from_kernel_state(state)
+        assert state_key(restored.analysis) == state_key(session)
+        live = session.kernel.result_at_head()
+        assert schema_to_dict(restored.result.schema) == schema_to_dict(
+            live.schema
+        )
+        assert restored.analysis.kernel.export_state()["snapshots"] == []
+
+    def test_the_baseline_entry_is_kept(self):
+        session = build_paper_world()
+        session.kernel.set_baseline()
+        baseline = session.kernel.baseline
+        stale = branch_with_a_stale_entry(session)
+        respecify_cycles(session, 6)
+        session.integrate("sc1", "sc2")
+        state = parent_format_export(session, stale)
+
+        restored = ToolSession.from_kernel_state(state)
+        assert state_key(restored.analysis) == state_key(session)
+        assert restored.result is not None
+        snapshots = restored.analysis.kernel.export_state()["snapshots"]
+        assert [entry["offset"] for entry in snapshots] == [baseline]
+        assert snapshots == session.kernel.export_state()["snapshots"]
+
+    def test_a_missing_baseline_entry_refuses_checkout(self):
+        session = build_paper_world()
+        session.kernel.set_baseline()
+        state = session.kernel.export_state()
+        state["snapshots"] = [
+            {"offset": 4, "state": session.state_payload()}
+        ]
+        kernel = Kernel.restore(state)
+        AnalysisSession(kernel=kernel)
+        with pytest.raises(KernelError):
+            kernel.checkout(state["head"])
+
+
+class TestLegacyRestoreRecovers:
+    """A legacy save (no kernel record) reopened, mutated, then crashed."""
+
+    def legacy_save(self, tmp_path, schemas):
+        session = ToolSession()
+        for schema in schemas:
+            session.adopt_schema(schema)
+        data = session.to_dictionary().to_dict()
+        del data["kernel"]  # a save from before the kernel existed
+        data["format"] = 1
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_baseline_snapshot_at_offset_zero_rides_in_the_wal(
+        self, tmp_path
+    ):
+        from repro.kernel.wal import WriteAheadLog
+
+        path = self.legacy_save(tmp_path, [])
+        session = ToolSession.open(path)
+        kernel = session.analysis.kernel
+        assert kernel.baseline == 0
+        session.adopt_schema(build_sc1())
+        session.adopt_schema(build_sc2())
+        session.registry.declare_equivalent(*DECLARATIONS[0])
+        expected = state_key(session.analysis)
+        del session  # no save: the WAL holds everything past the baseline
+
+        wal = WriteAheadLog(f"{path}.wal")
+        base = wal.open_report.records[0]
+        wal.close()
+        assert base["t"] == "base" and base["snapshot"]["offset"] == 0
+        recovered = ToolSession.open(path)
+        assert recovered.last_recovery.used_wal
+        assert state_key(recovered.analysis) == expected
+        assert recovered.analysis.kernel.baseline == 0
+
+    def test_baseline_past_offset_zero_recovers(self, tmp_path):
+        path = self.legacy_save(tmp_path, [build_sc1(), build_sc2()])
+        session = ToolSession.open(path)
+        baseline = session.analysis.kernel.baseline
+        assert baseline > 0
+        for first, second in DECLARATIONS:
+            session.registry.declare_equivalent(first, second)
+        session.undo()
+        expected = state_key(session.analysis)
+        del session
+
+        recovered = ToolSession.open(path)
+        assert state_key(recovered.analysis) == expected
+        kernel = recovered.analysis.kernel
+        assert kernel.baseline == baseline
+        assert len(kernel.export_state()["snapshots"]) == 1
+        assert recovered.redo()  # the redo tail survived the crash

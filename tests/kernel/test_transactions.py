@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.equivalence.session import AnalysisSession
+from repro.kernel import wal as wal_module
+from repro.kernel.wal import scan_records
 from repro.tool.session import ToolSession
 from repro.workloads.university import build_sc1, build_sc2
 
@@ -133,17 +135,21 @@ class TestRollback:
 
 
 class TestRollbackAndSnapshots:
-    def test_rolled_back_snapshots_do_not_reach_a_reload(self, tmp_path):
-        # with a snapshot due at every commit, the transaction's inner
-        # groups used to snapshot mid-transaction; the rollback dropped
-        # their events but kept the snapshots, so a later save reloaded
-        # the rolled-back state instead of the live one
-        session = ToolSession()
+    def test_rolled_back_snapshots_do_not_reach_a_reload(
+        self, tmp_path, monkeypatch
+    ):
+        # the periodic-snapshot kernel let a transaction's inner groups
+        # snapshot mid-transaction; the rollback dropped their events but
+        # kept the snapshots, so a later save reloaded the rolled-back
+        # state instead of the live one.  Now nothing but the baseline is
+        # kept, and the WAL (rotating at every commit here) reloads too.
+        monkeypatch.setattr(wal_module, "SEGMENT_COMMITS", 1)
+        path = tmp_path / "session.json"
+        session = ToolSession.open(path)
         session.adopt_schema(build_sc1())
         session.adopt_schema(build_sc2())
         analysis = session.analysis
         kernel = analysis.kernel
-        kernel.snapshot_every = 1
         with pytest.raises(Boom):
             with kernel.transaction():
                 analysis.declare_equivalent(
@@ -153,35 +159,47 @@ class TestRollbackAndSnapshots:
                     "sc1.Student.GPA", "sc2.Grad_student.GPA"
                 )
                 raise Boom()
-        kernel.snapshot_every = 64
         analysis.declare_equivalent(
             "sc1.Department.Name", "sc2.Department.Name"
         )
-        path = tmp_path / "session.json"
+        recovered = ToolSession.open(path)  # the WAL alone
+        assert state_key(recovered.analysis) == state_key(analysis)
         session.save(path)
         reloaded = ToolSession.load(path)
         assert state_key(reloaded.analysis) == state_key(analysis)
-        assert all(
-            snapshot.offset <= kernel.bus.offset
-            for snapshot in kernel.snapshots()
-        )
+        assert kernel.export_state()["snapshots"] == []
 
-    def test_inner_groups_do_not_snapshot_mid_transaction(self, session):
-        kernel = session.kernel
-        kernel.snapshot_every = 1
-        before = len(kernel.snapshots())
-        with kernel.transaction():
-            session.declare_equivalent(
+    def test_rotation_happens_only_between_commit_records(
+        self, tmp_path, monkeypatch
+    ):
+        # the inner groups of a transaction journal nothing; the one
+        # commit record of the outermost commit ends its segment
+        monkeypatch.setattr(wal_module, "SEGMENT_COMMITS", 1)
+        path = tmp_path / "session.json"
+        tool = ToolSession.open(path)
+        tool.adopt_schema(build_sc1())
+        tool.adopt_schema(build_sc2())
+        analysis = tool.analysis
+        directory = tmp_path / "session.json.wal"
+        segments = sorted(directory.glob("wal-*.seg"))
+        with analysis.kernel.transaction():
+            analysis.declare_equivalent(
                 "sc1.Student.Name", "sc2.Grad_student.Name"
             )
-            session.declare_equivalent(
+            analysis.declare_equivalent(
                 "sc1.Student.GPA", "sc2.Grad_student.GPA"
             )
-            assert len(kernel.snapshots()) == before
-        # the outermost commit takes the one periodic snapshot
-        assert [s.offset for s in kernel.snapshots()[before:]] == [
-            kernel.head
-        ]
+            assert sorted(directory.glob("wal-*.seg")) == segments
+        after = sorted(directory.glob("wal-*.seg"))
+        assert len(after) == len(segments) + 1
+        assert after[-1].read_bytes() == b""
+        for segment in after[:-1]:
+            records, _good, damaged = scan_records(segment.read_bytes())
+            assert not damaged
+            assert records[-1]["t"] == "commit"
+            assert [r["t"] for r in records].count("commit") == 1
+        records, _good, _damaged = scan_records(after[-2].read_bytes())
+        assert len(records[-1]["events"]) == 2
 
     def test_undo_after_a_published_rollback(self, session):
         # the rollback rebuilds from the entry state, which renumbers the

@@ -135,14 +135,15 @@ class TestUndoAfterRebuild:
         from repro.evolution import edit_from_payload
         from repro.kernel import Kernel
 
-        # the added attribute shifts class numbers when a snapshot is
-        # rebuilt, so the declaration's recorded inverse names a class
-        # number another attribute holds after the checkout-undo below
-        session.kernel.snapshot_every = 1
+        # the added attribute shifts class numbers when the baseline
+        # snapshot is rebuilt, so the declaration's recorded inverse
+        # names a class number another attribute holds after the
+        # checkout-undo below
         session.apply_edit("sc1", edit_from_payload(deepcopy(
             {"kind": "add_attribute", "object": "Student",
              "attribute": {"name": "Age", "domain": {"kind": "integer"}}}
         )))
+        session.kernel.set_baseline()
         session.declare_equivalent(
             "sc1.Student.Name", "sc1.Department.Name"
         )

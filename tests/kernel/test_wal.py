@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from repro.errors import WalError
-from repro.kernel.wal import WriteAheadLog
+from repro.kernel.wal import WriteAheadLog, scan_records
 
 
 def records_of(wal_dir):
@@ -17,6 +17,12 @@ def records_of(wal_dir):
         return wal.open_report
     finally:
         wal.close()
+
+
+def records_of_segment(segment):
+    records, _good, damaged = scan_records(segment.read_bytes())
+    assert not damaged
+    return records
 
 
 class TestAppendAndScan:
@@ -132,6 +138,44 @@ class TestLifecycle:
         assert segments == ["wal-0000000001.seg", "wal-0000000002.seg"]
         report = records_of(tmp_path / "wal")
         assert [r["events"][0]["offset"] for r in report.records] == [1, 2]
+
+    def test_rotates_itself_every_segment_commits(self, tmp_path, monkeypatch):
+        from repro.kernel import wal as wal_module
+
+        monkeypatch.setattr(wal_module, "SEGMENT_COMMITS", 3)
+        wal_dir = tmp_path / "wal"
+        with WriteAheadLog(wal_dir) as wal:
+            wal.record_base(0, 0)
+            for offset in range(1, 8):
+                wal.commit([{"offset": offset}])
+                wal.record_head(offset)  # only commit records count
+        per_segment = [
+            [r["t"] for r in records_of_segment(segment)]
+            for segment in sorted(wal_dir.glob("wal-*.seg"))
+        ]
+        assert [kinds.count("commit") for kinds in per_segment] == [3, 3, 1]
+        # each rotation follows a commit record, never splits a pair
+        assert per_segment[1][0] == "head"
+        report = records_of(wal_dir)
+        offsets = [r["events"][0]["offset"] for r in report.records
+                   if r["t"] == "commit"]
+        assert offsets == list(range(1, 8))
+
+    def test_rotate_and_reset_restart_the_count(self, tmp_path, monkeypatch):
+        from repro.kernel import wal as wal_module
+
+        monkeypatch.setattr(wal_module, "SEGMENT_COMMITS", 2)
+        wal_dir = tmp_path / "wal"
+        with WriteAheadLog(wal_dir) as wal:
+            wal.commit([{"offset": 1}])
+            wal.rotate()  # segment 2, count restarts
+            wal.commit([{"offset": 2}])
+            assert len(list(wal_dir.glob("wal-*.seg"))) == 2
+            wal.reset(2, 2)
+            wal.commit([{"offset": 3}])
+            assert len(list(wal_dir.glob("wal-*.seg"))) == 1
+            wal.commit([{"offset": 4}])  # the second since the reset
+            assert len(list(wal_dir.glob("wal-*.seg"))) == 2
 
     def test_reset_leaves_one_fresh_generation(self, tmp_path):
         with WriteAheadLog(tmp_path / "wal") as wal:

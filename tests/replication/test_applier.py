@@ -45,7 +45,7 @@ class TestParity:
             lambda: session.registry.declare_equivalent(
                 "sc1.Department.Name", "sc2.Department.Name"
             ),
-            lambda: session.analysis.kernel.snapshot(),
+            lambda: session.analysis.kernel.wal.rotate(),
             lambda: session.undo(),
             lambda: session.redo(),
         ]

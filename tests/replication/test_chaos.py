@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.errors import ReproError
 from repro.faults import FaultPlan, InjectedCrash
+from repro.kernel import wal as wal_module
 from repro.replication import (
     FencedError,
     ReplicaApplier,
@@ -66,7 +68,7 @@ crash_plans = st.builds(
 leader_moves = st.one_of(
     operations,
     st.just(("undo",)),
-    st.just(("snapshot",)),
+    st.just(("rotate",)),
     st.just(("checkpoint",)),
 )
 
@@ -77,8 +79,8 @@ def apply_move(session: ToolSession, save_path: Path, move) -> None:
             session.undo()
         except ReproError:
             pass  # empty history: a no-op move
-    elif move[0] == "snapshot":
-        session.analysis.kernel.snapshot()
+    elif move[0] == "rotate":
+        session.analysis.kernel.wal.rotate()
     elif move[0] == "checkpoint":
         session.save(save_path)  # WAL reset: new generation
     else:
@@ -127,7 +129,10 @@ def replicate_round(
     plan=crash_plans,
 )
 def test_follower_is_always_a_committed_prefix(moves, plan):
-    with tempfile.TemporaryDirectory() as tmp:
+    # a segment every 3 commits: the stream crosses rotations
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        wal_module, "SEGMENT_COMMITS", 3
+    ):
         save = Path(tmp) / "leader.json"
         session = ToolSession.open(save)
         # every WAL record boundary is a legitimate follower landing
@@ -138,7 +143,6 @@ def test_follower_is_always_a_committed_prefix(moves, plan):
         committed.add(fingerprint(session.analysis))
         session.adopt_schema(build_sc2())
         committed.add(fingerprint(session.analysis))
-        session.analysis.kernel.snapshot_every = 3  # force rotations
         shipper = WalShipper(f"{save}.wal")
         applier = ReplicaApplier()
         with faults.inject(plan):
@@ -163,7 +167,6 @@ def test_follower_is_always_a_committed_prefix(moves, plan):
                     # landing on a committed state per the
                     # crash-anywhere property
                     session = ToolSession.open(save)
-                    session.analysis.kernel.snapshot_every = 3
                     committed.add(fingerprint(session.analysis))
                 observed = applier.fingerprint()
                 if observed is not None:

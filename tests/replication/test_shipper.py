@@ -71,7 +71,7 @@ class TestCursorBasics:
 
 
 class TestRotationBoundary:
-    """Satellite: no skip/duplicate across a snapshot-triggered rotation."""
+    """No skip/duplicate across a segment rotation."""
 
     def test_rotation_hands_off_without_skip_or_duplicate(self, tmp_path):
         save = tmp_path / "lead.json"
@@ -81,10 +81,9 @@ class TestRotationBoundary:
         applier.apply(shipper.poll())
         kernel = session.analysis.kernel
         before = kernel.bus.offset
-        # snapshot() rotates the WAL onto a fresh segment; the next
-        # commits land in the new segment while the cursor position was
-        # taken in the old one
-        kernel.snapshot()
+        # rotate onto a fresh segment; the next commits land in the new
+        # segment while the cursor position was taken in the old one
+        kernel.wal.rotate()
         session.registry.declare_equivalent(
             "sc1.Student.Name", "sc2.Grad_student.Name"
         )
@@ -104,14 +103,14 @@ class TestRotationBoundary:
         shipper = WalShipper(wal_dir(save))
         # cursor taken mid-generation, *before* the rotation
         cursor = shipper.poll().cursor
-        session.analysis.kernel.snapshot()
+        session.analysis.kernel.wal.rotate()
         session.registry.declare_equivalent(
             "sc1.Department.Name", "sc2.Department.Name"
         )
         shipment = shipper.poll(cursor)
         assert not shipment.restarted
-        # exactly the records written after the cursor: the snapshot
-        # marker and the commit — none duplicated from segment 1
+        # exactly the records written after the cursor: the commit —
+        # none duplicated from segment 1
         total = shipper.poll().cursor.records
         assert cursor.records + len(shipment.records) == total
 
@@ -143,7 +142,7 @@ class TestDamageDiscipline:
     def test_mid_chain_damage_flags_and_stops(self, tmp_path):
         save = tmp_path / "lead.json"
         session = durable_session(save)
-        session.analysis.kernel.snapshot()  # rotate: two segments now
+        session.analysis.kernel.wal.rotate()  # two segments now
         session.registry.declare_equivalent(
             "sc1.Student.Name", "sc2.Grad_student.Name"
         )
