@@ -99,9 +99,24 @@ _ABSENT = object()
 #: A non-zero byte: the changed columns of a row diff.
 _NONZERO = re.compile(rb"[^\x00]")
 
+#: ``bytes.translate`` table marking (1) the masks that are a single
+#: ``equals``, ``contained in`` or ``contains`` bit, and no other (0).
+_CONTAINMENT_TRANSLATE = bytes(
+    mask in {RELATION_BIT[Relation.EQ], RELATION_BIT[Relation.PP],
+             RELATION_BIT[Relation.PPI]}
+    for mask in range(256)
+)
+
 
 def _key(x: int, y: int) -> _Key:
     return (x, y) if x < y else (y, x)
+
+
+def _pair_order(assertion: Assertion) -> tuple[str, str, str, str]:
+    """Sort key of a derived assertion, stored in pair order (first <
+    second): its ``ObjectRef`` order, compared as plain strings."""
+    first, second = assertion.first, assertion.second
+    return (first.schema, first.object_name, second.schema, second.object_name)
 
 
 class _UndoLog:
@@ -896,21 +911,34 @@ class AssertionNetwork:
 
     def derived_assertions(self) -> list[Assertion]:
         """All derived (singleton, unspecified) assertions, by pair."""
-        # a derived assertion is stored in pair order (first < second);
-        # comparing plain strings skips the dataclass comparisons
-        return sorted(
-            self._derived.values(),
-            key=lambda a: (
-                a.first.schema,
-                a.first.object_name,
-                a.second.schema,
-                a.second.object_name,
-            ),
-        )
+        return sorted(self._derived.values(), key=_pair_order)
 
     def all_assertions(self) -> list[Assertion]:
         """Specified assertions followed by derived ones."""
         return self.specified_assertions() + self.derived_assertions()
+
+    def containment_assertions(self) -> list[Assertion]:
+        """The specified log, then the derived equals/containment pairs.
+
+        These are every assertion Phase 4 can use, in
+        :meth:`all_assertions` order: specified in specification order,
+        then derived by pair.  A derived overlap or disjointness is left
+        out — :func:`~repro.assertions.kinds.derived_kind` leaves its
+        integrability undecided, so it never places two objects in one
+        cluster — and those pairs are the bulk of a finished network.
+        The rest are found with one ``bytes.translate`` per live row,
+        reusing the :class:`Assertion` objects already derived.
+        """
+        derived = self._derived
+        found: list[Assertion] = []
+        for x in self._live:
+            marks = self._rows[x].translate(_CONTAINMENT_TRANSLATE)
+            for match in _NONZERO.finditer(marks, x + 1):
+                assertion = derived.get((x, match.start()))
+                if assertion is not None:
+                    found.append(assertion)
+        found.sort(key=_pair_order)
+        return self.specified_assertions() + found
 
     def is_undetermined(
         self, first: ObjectRef | str, second: ObjectRef | str

@@ -52,33 +52,54 @@ class Cluster:
         return "{" + ", ".join(str(member) for member in self.members) + "}"
 
 
+def connecting_assertions(network: AssertionNetwork) -> list[Assertion]:
+    """The network's assertions that pass :func:`connects_pair`.
+
+    Specified in specification order, then derived by pair (the order of
+    :meth:`~AssertionNetwork.all_assertions`), read from
+    :meth:`~AssertionNetwork.containment_assertions`: a derived overlap or
+    disjointness never connects, so it is never read.
+    """
+    return [
+        assertion
+        for assertion in network.containment_assertions()
+        if connects_pair(assertion)
+    ]
+
+
 def compute_clusters(
     network: AssertionNetwork,
     objects: list[ObjectRef] | None = None,
+    *,
+    connecting: list[Assertion] | None = None,
 ) -> list[Cluster]:
     """Partition objects into clusters by connecting assertions.
 
     ``objects`` restricts the partition (e.g. to the two schemas being
     integrated); by default all network objects are clustered.  Clusters
     are returned in first-member registration order; singleton clusters
-    are included.
+    are included.  ``connecting`` is :func:`connecting_assertions` of the
+    network, for a caller that has already read it; each cluster keeps
+    its assertions in that list's order.
     """
     if objects is None:
         objects = network.objects()
+    if connecting is None:
+        connecting = connecting_assertions(network)
     chosen = set(objects)
     groups: DisjointSet[ObjectRef] = DisjointSet(objects)
-    connecting: list[Assertion] = []
-    for assertion in network.all_assertions():
-        if assertion.first not in chosen or assertion.second not in chosen:
-            continue
-        if connects_pair(assertion):
-            groups.union(assertion.first, assertion.second)
-            connecting.append(assertion)
+    inside = [
+        assertion
+        for assertion in connecting
+        if assertion.first in chosen and assertion.second in chosen
+    ]
+    for assertion in inside:
+        groups.union(assertion.first, assertion.second)
     clusters = [Cluster(members) for members in groups.classes()]
     by_root = {
         groups.find(cluster.members[0]): cluster for cluster in clusters
     }
-    for assertion in connecting:
+    for assertion in inside:
         by_root[groups.find(assertion.first)].assertions.append(assertion)
     return clusters
 

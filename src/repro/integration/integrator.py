@@ -34,28 +34,29 @@ from repro.equivalence.registry import EquivalenceRegistry
 from repro.equivalence.union_find import DisjointSet
 from repro.errors import IntegrationError
 from repro.integration.attribute_merge import AttributePool, merge_pool
-from repro.integration.clusters import compute_clusters
-from repro.integration.lattice import ancestors_in_dag, transitive_reduction
+from repro.integration.clusters import compute_clusters, connecting_assertions
+from repro.integration.lattice import AncestorMap, transitive_reduction
 from repro.integration.naming import NamePool, derived_name, equivalent_name
 from repro.integration.options import IntegrationOptions
 from repro.integration.result import IntegratedNode, IntegrationResult
 from repro.obs.trace import span
 
 
-def canonical_assertions(network: AssertionNetwork) -> list[Assertion]:
-    """The network's assertions in history-independent order.
+def canonical_assertions(assertions: list[Assertion]) -> list[Assertion]:
+    """Assertions in history-independent order, sorted by endpoint names.
 
     Specification order varies with the DDA's path through a sitting and
     is deliberately dropped by the canonical state payload (the kernel's
     baseline, a rollback's entry state), so a session rebuilt from one
     re-specifies in sorted order.
-    Integration output must be identical either way — every pass over the
-    network iterates in this order, sorted by endpoint names.
-    :meth:`Integrator.integrate` sorts once per network per call and
-    hands the list to each pass.
+    Integration output must be identical either way — every pass over a
+    network iterates its :func:`connecting_assertions` in this order.
+    :meth:`Integrator.integrate` reads and sorts them once per network
+    per call and hands the list to each pass; each pass picks out the
+    assertions it acts on, all of which connect.
     """
     return sorted(
-        network.all_assertions(),
+        assertions,
         key=lambda assertion: (str(assertion.first), str(assertion.second)),
     )
 
@@ -107,10 +108,11 @@ class Integrator:
             result = IntegrationResult(Schema(result_name))
             names = NamePool()
             with span("phase4.clusters", counters=counters):
-                self._log_clusters(schema_a, schema_b, result)
+                connecting = connecting_assertions(self._network)
+                self._log_clusters(schema_a, schema_b, connecting, result)
             with span("phase4.objects.merge", counters=counters):
                 # one sorted list serves every pass over the object network
-                assertions = canonical_assertions(self._network)
+                assertions = canonical_assertions(connecting)
                 node_names, members_by_node = self._merge_object_classes(
                     schema_a, schema_b, assertions, names, result
                 )
@@ -141,10 +143,16 @@ class Integrator:
     # -- phase logging -----------------------------------------------------------
 
     def _log_clusters(
-        self, schema_a: Schema, schema_b: Schema, result: IntegrationResult
+        self,
+        schema_a: Schema,
+        schema_b: Schema,
+        connecting: list[Assertion],
+        result: IntegrationResult,
     ) -> None:
         refs = self._object_refs(schema_a) + self._object_refs(schema_b)
-        clusters = compute_clusters(self._network, refs)
+        clusters = compute_clusters(
+            self._network, refs, connecting=connecting
+        )
         multi = [cluster for cluster in clusters if not cluster.is_singleton]
         result.note(
             f"clusters: {len(clusters)} total, {len(multi)} with "
@@ -252,9 +260,8 @@ class Integrator:
         for assertion in assertions:
             if assertion.first not in chosen or assertion.second not in chosen:
                 continue
+            # a connecting overlap/disjointness is integrable and decided
             if assertion.relation not in (Relation.PO, Relation.DR):
-                continue
-            if not (assertion.kind.integrable and assertion.integrability_decided):
                 continue
             node_a = node_names[assertion.first]
             node_b = node_names[assertion.second]
@@ -343,37 +350,38 @@ class Integrator:
         the contained copy, producing a single derived attribute at the top
         and plain inheritance below — Screen 12's ``D_Name``.
         """
-        order = list(pools)
         owners_of: dict[int, list[str]] = {}
-        for node_name in order:
+        for node_name in pools:
             for class_number in pools[node_name].class_numbers(self._registry):
                 owners_of.setdefault(class_number, []).append(node_name)
+        lattice = AncestorMap(edges)
         for class_number, owners in owners_of.items():
             if len(owners) < 2:
                 continue
-            owner_set = set(owners)
             for node_name in owners:
+                # owners are in pool order, each node listed once
                 ancestor_owners = [
                     other
-                    for other in order
-                    if other in owner_set
-                    and other != node_name
-                    and other in ancestors_in_dag(edges, node_name)
+                    for other in owners
+                    if other != node_name and lattice.is_above(other, node_name)
                 ]
                 if not ancestor_owners:
                     continue
-                top = self._topmost(ancestor_owners, edges)
+                top = self._topmost(ancestor_owners, lattice)
                 for ref, attribute in pools[node_name].take_class(
                     self._registry, class_number
                 ):
                     pools[top].add(ref, attribute)
 
     @staticmethod
-    def _topmost(candidates: list[str], edges: list[tuple[str, str]]) -> str:
+    def _topmost(candidates: list[str], lattice: AncestorMap) -> str:
         """The candidate with no other candidate above it (first such wins)."""
         for candidate in candidates:
-            above = ancestors_in_dag(edges, candidate)
-            if not any(other in above for other in candidates if other != candidate):
+            if not any(
+                lattice.is_above(other, candidate)
+                for other in candidates
+                if other != candidate
+            ):
                 return candidate
         return candidates[0]
 
@@ -428,7 +436,11 @@ class Integrator:
         chosen = set(refs)
         groups: DisjointSet[ObjectRef] = DisjointSet(refs)
         rel_net = self._relationship_network
-        assertions = [] if rel_net is None else canonical_assertions(rel_net)
+        assertions = (
+            []
+            if rel_net is None
+            else canonical_assertions(connecting_assertions(rel_net))
+        )
         for assertion in assertions:
             if (
                 assertion.relation is Relation.EQ
@@ -600,9 +612,8 @@ class Integrator:
             if assertion.relation is Relation.PPI:
                 result.relationship_lattice.append((node_b, node_a))
                 continue
+            # a connecting overlap/disjointness is integrable and decided
             if assertion.relation not in (Relation.PO, Relation.DR):
-                continue
-            if not (assertion.kind.integrable and assertion.integrability_decided):
                 continue
             pair = frozenset({node_a, node_b})
             if pair in seen_pairs:

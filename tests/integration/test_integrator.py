@@ -1,9 +1,12 @@
 """Tests for the integration engine against the paper's Figure 5 and
 the Figure 2 assertion catalogue."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.assertions.kinds import AssertionKind
+from repro.assertions.kinds import AssertionKind, Source
 from repro.assertions.network import AssertionNetwork
 from repro.ecr.builder import SchemaBuilder
 from repro.ecr.schema import ObjectRef
@@ -12,6 +15,8 @@ from repro.equivalence.registry import EquivalenceRegistry
 from repro.errors import IntegrationError
 from repro.integration.integrator import Integrator, integrate_pair
 from repro.integration.options import IntegrationOptions
+from repro.kernel.apply import schema_fingerprint
+from repro.workloads.generator import GeneratorConfig, generate_schema_pair
 
 
 class TestFigure5:
@@ -331,7 +336,6 @@ def test_string_keyed_sorts_keep_the_dataclass_order():
     derived assertions come out in ``ObjectRef`` dataclass order."""
     from repro.equivalence.session import AnalysisSession
     from repro.errors import ConflictError
-    from repro.workloads.generator import GeneratorConfig, generate_schema_pair
 
     pair = generate_schema_pair(
         GeneratorConfig(
@@ -363,3 +367,96 @@ def test_string_keyed_sorts_keep_the_dataclass_order():
     derived = network.derived_assertions()
     assert len(derived) > 1000
     assert derived == sorted(derived, key=lambda assertion: assertion.pair)
+
+
+# -- golden integration digests ---------------------------------------------------
+
+#: SHA-256 of each world's integration output, recorded at commit e52a8be,
+#: before Phase 4 read its assertions off the network's mask rows.  The
+#: output must stay byte-identical: a change here is a behaviour change.
+GOLDEN_DIGESTS = {
+    "paper": "11924ccca0fe8a7847bb5441d5aaf4a7556f2cd30ac72651950cae82f58898df",
+    3: "7fe7e28a912305c1cfadcc1ad7459126e93a8ff7745eeea76eab2b313408c256",
+    11: "1239fe52a4da1b050613dfc50d339b6770e6508bbd9b3b89bf7c7527c1828a24",
+    29: "746cf7601e45f50e8a9325cfc360b7155f59e0ae8af6757657fd5f56b7036619",
+}
+
+
+def integration_digest(result) -> str:
+    """One digest over the schema fingerprint, log, object and attribute
+    mappings, nodes and relationship lattice, in their own orders."""
+    payload = {
+        "schema": schema_fingerprint(result.schema),
+        "log": result.log,
+        "objects": [[str(k), v] for k, v in result.object_mapping.items()],
+        "attributes": [
+            [str(k), list(v)] for k, v in result.attribute_mapping.items()
+        ],
+        "nodes": [
+            [name, node.origin, [str(c) for c in node.components]]
+            for name, node in result.nodes.items()
+        ],
+        "relationship_lattice": [list(e) for e in result.relationship_lattice],
+    }
+    return hashlib.sha256(
+        json.dumps(payload, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
+def _generated_world_result(seed):
+    """Truth assertions specified (plus a relationship overlap and a
+    relationship containment), then one DDA assertion retracted."""
+    from repro.equivalence.session import AnalysisSession
+
+    pair = generate_schema_pair(
+        GeneratorConfig(
+            seed=seed, concepts=10, overlap=0.7, category_rate=0.5,
+            shared_relationship_rate=0.6, equal_rate=0.3, contain_rate=0.3,
+            overlap_rate=0.2,
+        )
+    )
+    session = AnalysisSession([pair.first, pair.second])
+    for left, right in sorted(pair.truth.attribute_pairs):
+        session.declare_equivalent(left, right)
+    for (first, second), kind in sorted(pair.truth.object_assertions.items()):
+        session.specify(first, second, kind)
+    for (first, second), kind in sorted(
+        pair.truth.relationship_assertions.items()
+    ):
+        session.specify(first, second, kind, relationships=True)
+    free = [
+        [
+            ref
+            for ref in session.relationship_network.objects()
+            if ref.schema == schema.name
+            and not any(
+                ref in key for key in pair.truth.relationship_assertions
+            )
+        ]
+        for schema in (pair.first, pair.second)
+    ]
+    session.specify(
+        free[0][0], free[1][0], AssertionKind.MAY_BE, relationships=True
+    )
+    session.specify(
+        free[0][1], free[1][1], AssertionKind.CONTAINED_IN, relationships=True
+    )
+    answered = [
+        assertion
+        for assertion in session.object_network.specified_assertions()
+        if assertion.source is Source.DDA
+    ]
+    target = answered[len(answered) // 2]
+    session.retract(target.first, target.second)
+    return session.integrate(pair.first.name, pair.second.name)
+
+
+def test_paper_world_matches_its_golden_digest(paper_result):
+    assert integration_digest(paper_result) == GOLDEN_DIGESTS["paper"]
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_generated_world_matches_its_golden_digest(seed):
+    result = _generated_world_result(seed)
+    assert result.derived_parent_nodes()
+    assert integration_digest(result) == GOLDEN_DIGESTS[seed]

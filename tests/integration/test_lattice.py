@@ -1,14 +1,31 @@
 """Tests for DAG utilities (transitive reduction, ancestors)."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import IntegrationError
 from repro.integration.lattice import (
+    AncestorMap,
     ancestors_in_dag,
     check_acyclic,
     transitive_reduction,
 )
+
+
+def quadratic_reduction(edges):
+    """The O(E²) definition: drop an edge when its parent is reachable
+    from its child without it (the oracle for the ancestor map)."""
+    check_acyclic(edges)
+    unique = list(dict.fromkeys(edges))
+    kept = []
+    for edge in unique:
+        child, parent = edge
+        others = [other for other in unique if other != edge]
+        if parent not in ancestors_in_dag(others, child):
+            kept.append(edge)
+    return kept
 
 
 class TestAncestors:
@@ -85,3 +102,62 @@ def test_reduction_is_minimal(edges):
         without = [other for other in reduced if other != edge]
         child, parent = edge
         assert parent not in ancestors_in_dag(without, child)
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A DAG's edges in any order, some repeated."""
+    edges = draw(random_dags())
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return draw(st.permutations(edges))
+
+
+def _is_subsequence(short, long):
+    remaining = iter(long)
+    return all(item in remaining for item in short)
+
+
+@given(shuffled_dags())
+def test_reduction_keeps_input_order_and_matches_the_quadratic_definition(edges):
+    reduced = transitive_reduction(edges)
+    assert _is_subsequence(reduced, list(dict.fromkeys(edges)))
+    assert reduced == quadratic_reduction(edges)
+
+
+@given(shuffled_dags())
+def test_ancestor_map_agrees_with_ancestors_in_dag(edges):
+    lattice = AncestorMap(edges)
+    nodes = sorted({n for edge in edges for n in edge}) + ["elsewhere"]
+    for node in nodes:
+        above = ancestors_in_dag(edges, node)
+        for other in nodes:
+            assert lattice.is_above(other, node) == (other in above)
+
+
+class TestDeepLattices:
+    """Depth is bounded by nothing but memory: no walk may recurse."""
+
+    DEPTH = 5_000
+
+    def chain(self):
+        return [(f"n{i}", f"n{i + 1}") for i in range(self.DEPTH)]
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        assert self.DEPTH > sys.getrecursionlimit()
+        chain = self.chain()
+        check_acyclic(chain)
+        assert transitive_reduction(chain) == chain
+
+    def test_chain_with_a_shortcut_drops_it(self):
+        chain = self.chain()
+        shortcut = ("n0", f"n{self.DEPTH}")
+        assert transitive_reduction([shortcut] + chain) == chain
+        assert AncestorMap(chain).is_above(f"n{self.DEPTH}", "n0")
+
+    def test_cycle_at_the_end_of_a_deep_chain_raises(self):
+        chain = self.chain() + [(f"n{self.DEPTH}", "n1")]
+        with pytest.raises(IntegrationError):
+            check_acyclic(chain)
+        with pytest.raises(IntegrationError):
+            transitive_reduction(chain)
