@@ -16,6 +16,14 @@ them in CI):
   edited class are invalidated; plans over other classes survive and
   the planner reports the count in ``last_evolve_invalidated``.
 
+A separate section integrates the paper's sc1/sc2 sitting through a
+:class:`~repro.tool.session.ToolSession` and applies one attribute edit
+to sc1, which re-integrates the pair inside ``apply_edit``.  Two more
+gates: the re-integrated schema fingerprints like a cold
+:class:`~repro.integration.integrator.Integrator` run over the rebuilt
+state (**reintegration_matches_cold**), and an attribute edit moves no
+cluster (**reintegration_clusters_changed** == 0).
+
 The from-scratch baseline is the rebuild oracle
 (:func:`repro.baselines.rebuild_session`): a cold session re-driven
 through the same observable facts, whose fingerprint the incremental
@@ -29,14 +37,27 @@ from __future__ import annotations
 import harness
 from harness import Gates, component_mapping, component_schema, timed
 from repro.assertions.kinds import AssertionKind
-from repro.baselines import rebuild_matches, rebuild_session
+from repro.baselines import (
+    rebuild_matches,
+    rebuild_session,
+    reintegrate_from_scratch,
+)
 from repro.data.populate import populate_store
 from repro.ecr.attributes import Attribute
 from repro.ecr.domains import Domain, DomainKind
 from repro.equivalence.session import AnalysisSession
 from repro.evolution import AddAttribute
 from repro.federation import FederationEngine
-from repro.workloads.university import build_expected_figure5
+from repro.kernel.apply import schema_fingerprint
+from repro.obs.trace import tracing
+from repro.tool.session import ToolSession
+from repro.workloads.university import (
+    PAPER_ASSERTION_CODES,
+    PAPER_RELATIONSHIP_CODES,
+    build_expected_figure5,
+    build_sc1,
+    build_sc2,
+)
 
 OUTPUT = harness.REPO_ROOT / "BENCH_evolution.json"
 
@@ -93,6 +114,48 @@ def warm_candidate_pairs(session: AnalysisSession, names: list[str]) -> None:
     for index, first in enumerate(names):
         for second in names[index + 1:]:
             session.candidate_pairs(first, second)
+
+
+def reintegration(gates: Gates) -> dict:
+    """Integrate the paper sitting, then re-integrate through one edit."""
+    session = ToolSession()
+    session.adopt_schema(build_sc1())
+    session.adopt_schema(build_sc2())
+    for first, second in harness.PAPER_DECLARATIONS:
+        session.analysis.declare_equivalent(first, second)
+    for first, second, code in PAPER_ASSERTION_CODES:
+        session.analysis.specify(first, second, code)
+    for first, second, code in PAPER_RELATIONSHIP_CODES:
+        session.analysis.specify(first, second, code, relationships=True)
+    session.select_pair("sc1", "sc2")
+    integrate_seconds, _ = timed(session.integrate)
+    with tracing() as tracer:
+        edit_seconds, outcome = timed(
+            lambda: session.apply_edit(
+                "sc1",
+                AddAttribute(
+                    "Department",
+                    Attribute("Budget", Domain(DomainKind.INTEGER)),
+                ),
+            )
+        )
+    live = schema_fingerprint(session.result.schema)
+    cold = reintegrate_from_scratch(session.analysis, "sc1", "sc2")
+    gates.holds("reintegration_matches_cold", live == cold)
+    gates.equal(
+        "reintegration_clusters_changed", outcome.scope.clusters_changed, 0
+    )
+    return {
+        "world": "paper sc1/sc2 sitting, integrated; AddAttribute on "
+        "sc1.Department",
+        "scope": outcome.scope.to_wire(),
+        "integrate_seconds": round(integrate_seconds, 6),
+        "edit_seconds": round(edit_seconds, 6),
+        "reintegration_seconds": round(
+            tracer.total_time("evolution.repair.integration"), 6
+        ),
+        "fingerprint": live,
+    }
 
 
 def main() -> int:
@@ -157,6 +220,7 @@ def main() -> int:
     gates.equal("plans_dropped", plans_before - planner.cache_size(), 1)
     incremental, from_scratch = rebuild_matches(session)
     gates.holds("rebuild_oracle_matches", incremental == from_scratch)
+    reintegrated = reintegration(gates)
 
     report = {
         "description": (
@@ -183,6 +247,7 @@ def main() -> int:
             "seconds": round(rebuild_seconds, 6),
         },
         "ratios": ratios,
+        "reintegration": reintegrated,
     }
     return harness.write_record(OUTPUT, report, gates)
 

@@ -13,11 +13,11 @@ fingerprint both.  Because the payload is history-independent, the two
 fingerprints must be bitwise identical — any divergence means a repair
 step forgot or corrupted state.
 
-The same trick pins patched integration results:
+The same trick pins re-integrated results:
 :func:`reintegrate_from_scratch` runs a cold :class:`Integrator
 <repro.integration.integrator.Integrator>` over the rebuilt session and
 returns the result schema's fingerprint for comparison against the
-incrementally patched result.
+result an edit's re-integration recorded.
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ def reintegrate_from_scratch(
 ) -> str:
     """Fingerprint of a cold integration over the rebuilt session.
 
-    A patched :class:`~repro.integration.results.IntegrationResult` must
-    fingerprint identically — patching may only skip work, never change
-    the answer.
+    The result an edit re-integrated must fingerprint identically,
+    however the session got to its state (live, replayed, restored).
     """
     from repro.integration.integrator import Integrator
     from repro.integration.options import IntegrationOptions

@@ -38,6 +38,7 @@ Example::
 
 from __future__ import annotations
 
+import logging
 from typing import TYPE_CHECKING, Iterable
 
 from repro.assertions.assertion import Assertion
@@ -57,11 +58,14 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
     from repro.equivalence.acs import AcsMatrix
     from repro.equivalence.ocs import OcsMatrix
     from repro.evolution.edits import SchemaEdit
-    from repro.evolution.repair import EditOutcome
+    from repro.evolution.repair import EditOutcome, RepairScope
     from repro.integration.options import IntegrationOptions
     from repro.integration.result import IntegrationResult
     from repro.kernel.bus import Subscription
+    from repro.kernel.events import Event
     from repro.obs.audit import AuditLog
+
+log = logging.getLogger("repro.evolution")
 
 
 class AnalysisSession:
@@ -170,7 +174,13 @@ class AnalysisSession:
           repair of just the dependent closure); added categories seed
           their implicit containment edges exactly as ``add_schema`` would;
         * the batch solver re-propagates only the facts on the affected
-          objects, cross-checking the localized repair.
+          objects, cross-checking the localized repair;
+        * when the latest ``session.integrate`` event at the head covers
+          the edited schema, the pair is re-integrated with that event's
+          pair, name and options once the edit is committed, and the
+          result is recorded against the edit's event (see
+          :meth:`_reintegrate`).  Replay runs this same method, so live,
+          replayed and restored sessions agree on the integrated schema.
 
         Dropping a class or relationship that still carries specified DDA
         assertions is refused with a
@@ -182,7 +192,8 @@ class AnalysisSession:
         else undoes by applying the inverse edit.
 
         Returns an :class:`~repro.evolution.repair.EditOutcome` carrying
-        the inverse edit and the :class:`~repro.evolution.repair.RepairScope`.
+        the inverse edit, the :class:`~repro.evolution.repair.RepairScope`
+        and the re-integrated result, if any.
         """
         from repro.errors import ConsistencyFailure
         from repro.evolution.repair import (
@@ -350,7 +361,7 @@ class AnalysisSession:
                             "edit": delta.inverse.to_payload(),
                         },
                     )
-                self.kernel.bus.publish(
+                event = self.kernel.bus.publish(
                     "evolution",
                     "apply_edit",
                     {
@@ -362,13 +373,82 @@ class AnalysisSession:
                     schemas=frozenset({schema_name}),
                     inverse=event_inverse,
                 )
+            result = self._reintegrate(schema_name, event, scope)
         return EditOutcome(
             edit=edit,
             inverse=delta.inverse,
             scope=scope,
             retracted=tuple(retracted),
             destructive=destructive,
+            result=result,
         )
+
+    def _reintegrate(
+        self, schema_name: str, event: "Event", scope: "RepairScope"
+    ) -> "IntegrationResult | None":
+        """Re-run the latest integration if the committed edit touched it.
+
+        ``event`` is the edit's ``evolution.apply_edit`` event (offset 0
+        under replay, where the head sits just before it).  Either way the
+        head lookups see the state before the edit: the latest
+        ``session.integrate`` event and the result the edit supersedes.
+        Nothing runs when the kernel already holds the result
+        (:meth:`Kernel.wants_result <repro.kernel.kernel.Kernel.wants_result>`).
+        The integration re-runs with the event's recorded pair, result
+        name and options (not whatever options the caller holds now), and
+        a live result is recorded against the edit's offset; replay
+        records it through ``results``.  Any failure leaves the edit
+        applied and yields ``None`` — on the live path and under replay
+        alike, so a logged edit always replays — and is logged with its
+        traceback.  The scope counts the clusters whose membership the
+        previous result did not have.
+        """
+        from repro.integration.integrator import Integrator
+        from repro.integration.options import IntegrationOptions
+        from repro.obs.trace import span
+
+        if not self.kernel.wants_result(event):
+            return None
+        integrated = self.kernel.integration_at_head()
+        if integrated is None:
+            return None
+        payload = integrated.payload
+        first, second = payload["first"], payload["second"]
+        if schema_name not in (first, second):
+            return None
+        previous = self.kernel.result_at_head()
+        integrator = Integrator(
+            self.registry,
+            self.object_network,
+            self.relationship_network,
+            IntegrationOptions(**payload.get("options", {})),
+        )
+        try:
+            with span(
+                "evolution.repair.integration",
+                counters=self.counters,
+                first=first,
+                second=second,
+            ):
+                result = integrator.integrate(
+                    first, second, payload.get("result_name", "integrated")
+                )
+        except Exception:  # any failure: the edit must stay replayable
+            log.exception(
+                "re-integrating %s/%s after an edit to %s failed",
+                first, second, schema_name,
+            )
+            return None
+        if event.offset:
+            self.kernel.record_result(event.offset, result)
+        before = set(previous.clusters) if previous is not None else set()
+        scope.integrated_patched = True
+        scope.clusters_total = len(result.clusters)
+        scope.clusters_changed = sum(
+            1 for cluster in result.clusters if cluster not in before
+        )
+        self.counters.evolution_clusters_rebuilt += scope.clusters_changed
+        return result
 
     def _edit_conflict(
         self, schema_name: str, edit: "SchemaEdit"
@@ -720,17 +800,15 @@ class AnalysisSession:
         *,
         result_name: str = "integrated",
         options: "IntegrationOptions | None" = None,
-        merge_memo=None,
     ) -> "IntegrationResult":
         """Integrate two registered schemas using the session's state.
 
-        Commits a ``session.integrate`` event carrying the options and
-        the result schema's SHA-256 fingerprint — the audit tap records
-        it, replay verifies bitwise-identical reproduction against it,
-        and redo re-runs the integration from it.  ``merge_memo`` (a
-        :class:`~repro.integration.patching.MergeMemo`) warms the
-        attribute-merge cache evolution patching reuses; it never changes
-        the result.
+        Commits a ``session.integrate`` event carrying the pair, result
+        name, options and the result schema's SHA-256 fingerprint — the
+        audit tap records it, replay verifies bitwise-identical
+        reproduction against it, redo re-runs the integration from it,
+        and a later :meth:`apply_edit` to either schema re-integrates
+        with what it records.
         """
         from dataclasses import asdict
 
@@ -744,7 +822,6 @@ class AnalysisSession:
             self.object_network,
             self.relationship_network,
             resolved,
-            merge_memo=merge_memo,
         )
         with self.kernel.group():
             result = integrator.integrate(

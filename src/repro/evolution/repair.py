@@ -4,8 +4,8 @@ Every applied edit produces a :class:`RepairScope` — the tool's
 "recomputed 14/2,400 OCS cells, 2 clusters, 1 plan" report — by measuring
 exactly what each downstream layer recomputed: the delta of the analysis
 counters around the repair (OCS cells, closure pairs), the assertions the
-network retracted, the clusters/merge groups the integration patch
-rebuilt, and the plans the federation cache dropped.
+network retracted, the clusters of the integrated pair whose membership
+the re-integration changed, and the plans the federation cache dropped.
 
 :func:`scoped_repropagation` is the solver-side verification step: after a
 destructive edit's localized network repair, the batch engine
@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.assertions.assertion import Assertion
     from repro.assertions.network import AssertionNetwork
     from repro.evolution.edits import SchemaEdit
+    from repro.integration.result import IntegrationResult
 
 
 @dataclass
@@ -46,8 +47,6 @@ class RepairScope:
     solver_steps: int = 0
     clusters_changed: int = 0
     clusters_total: int = 0
-    merge_groups_recomputed: int = 0
-    merge_groups_total: int = 0
     plans_invalidated: int = 0
     plans_total: int = 0
     integrated_patched: bool = False
@@ -65,10 +64,6 @@ class RepairScope:
         if self.integrated_patched:
             parts.append(
                 f"{self.clusters_changed}/{self.clusters_total} clusters"
-            )
-            parts.append(
-                f"{self.merge_groups_recomputed}/"
-                f"{self.merge_groups_total} merge groups"
             )
         if self.plans_total:
             parts.append(
@@ -88,8 +83,6 @@ class RepairScope:
             "solver_steps": self.solver_steps,
             "clusters_changed": self.clusters_changed,
             "clusters_total": self.clusters_total,
-            "merge_groups_recomputed": self.merge_groups_recomputed,
-            "merge_groups_total": self.merge_groups_total,
             "plans_invalidated": self.plans_invalidated,
             "plans_total": self.plans_total,
             "integrated_patched": self.integrated_patched,
@@ -107,6 +100,8 @@ class EditOutcome:
     whose inverse edit alone cannot restore the prior state (retracted
     assertions, lost equivalence memberships) — the kernel records no
     event inverse for those and undo falls back to a checkout.
+    ``result`` is the re-integrated schema when the edit touched the
+    pair of the latest integration, else ``None``.
     """
 
     edit: "SchemaEdit"
@@ -114,6 +109,7 @@ class EditOutcome:
     scope: RepairScope
     retracted: tuple["Assertion", ...] = ()
     destructive: bool = False
+    result: "IntegrationResult | None" = None
 
     def to_wire(self) -> dict[str, Any]:
         return {

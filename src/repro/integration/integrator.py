@@ -70,22 +70,11 @@ class Integrator:
         network: AssertionNetwork,
         relationship_network: AssertionNetwork | None = None,
         options: IntegrationOptions = IntegrationOptions(),
-        *,
-        merge_memo=None,
     ) -> None:
         self._registry = registry
         self._network = network
         self._relationship_network = relationship_network
         self._options = options
-        #: optional cross-run attribute-merge cache (evolution patching);
-        #: a :class:`~repro.integration.patching.MergeMemo` or ``None``
-        self._merge_memo = merge_memo
-
-    def _merge(self, pool: AttributePool):
-        """Merge one pool, through the memo when one is plugged in."""
-        if self._merge_memo is None:
-            return merge_pool(pool, self._registry, self._options)
-        return self._merge_memo.merge(pool, self._registry, self._options)
 
     # -- public API -----------------------------------------------------------
 
@@ -107,14 +96,16 @@ class Integrator:
         ):
             result = IntegrationResult(Schema(result_name))
             names = NamePool()
+            # the pair's object classes, in registration order
+            refs = self._object_refs(schema_a) + self._object_refs(schema_b)
             with span("phase4.clusters", counters=counters):
                 connecting = connecting_assertions(self._network)
-                self._log_clusters(schema_a, schema_b, connecting, result)
+                self._log_clusters(refs, connecting, result)
             with span("phase4.objects.merge", counters=counters):
                 # one sorted list serves every pass over the object network
                 assertions = canonical_assertions(connecting)
                 node_names, members_by_node = self._merge_object_classes(
-                    schema_a, schema_b, assertions, names, result
+                    refs, assertions, names, result
                 )
             with span("phase4.isa.edges", counters=counters):
                 edges = self._collect_isa_edges(
@@ -144,14 +135,16 @@ class Integrator:
 
     def _log_clusters(
         self,
-        schema_a: Schema,
-        schema_b: Schema,
+        refs: list[ObjectRef],
         connecting: list[Assertion],
         result: IntegrationResult,
     ) -> None:
-        refs = self._object_refs(schema_a) + self._object_refs(schema_b)
+        """Log the pair's clusters and keep their partition on ``result``."""
         clusters = compute_clusters(
             self._network, refs, connecting=connecting
+        )
+        result.clusters = tuple(
+            frozenset(cluster.members) for cluster in clusters
         )
         multi = [cluster for cluster in clusters if not cluster.is_singleton]
         result.note(
@@ -172,14 +165,12 @@ class Integrator:
 
     def _merge_object_classes(
         self,
-        schema_a: Schema,
-        schema_b: Schema,
+        refs: list[ObjectRef],
         assertions: list[Assertion],
         names: NamePool,
         result: IntegrationResult,
     ) -> tuple[dict[ObjectRef, str], dict[str, list[ObjectRef]]]:
         """Group object classes by ``equals`` assertions and name the groups."""
-        refs = self._object_refs(schema_a) + self._object_refs(schema_b)
         chosen = set(refs)
         groups: DisjointSet[ObjectRef] = DisjointSet(refs)
         for assertion in assertions:
@@ -303,7 +294,7 @@ class Integrator:
         for child, parent in edges:
             parents_of.setdefault(child, []).append(parent)
         for node_name, pool in pools.items():
-            attributes, origins = self._merge(pool)
+            attributes, origins = merge_pool(pool, self._registry, self._options)
             description = self._merged_description(members_by_node[node_name])
             parents = parents_of.get(node_name, [])
             if parents:
@@ -486,7 +477,7 @@ class Integrator:
             structure = schema.get(member.object_name)
             for attribute in structure.attributes:
                 pool.add(member.attribute(attribute.name), attribute)
-        attributes, origins = self._merge(pool)
+        attributes, origins = merge_pool(pool, self._registry, self._options)
         result.schema.add(
             RelationshipSet(
                 node_name,
@@ -662,17 +653,13 @@ def integrate_pair(
     relationship_network: AssertionNetwork | None = None,
     options: IntegrationOptions | None = None,
     result_name: str = "integrated",
-    merge_memo=None,
 ) -> IntegrationResult:
     """Convenience wrapper: integrate two registered schemas in one call.
 
-    ``relationship_network``, ``options``, ``result_name`` and
-    ``merge_memo`` are keyword-only.
+    ``relationship_network``, ``options`` and ``result_name`` are
+    keyword-only.
     """
     if options is None:
         options = IntegrationOptions()
-    integrator = Integrator(
-        registry, network, relationship_network, options,
-        merge_memo=merge_memo,
-    )
+    integrator = Integrator(registry, network, relationship_network, options)
     return integrator.integrate(first_schema, second_schema, result_name)

@@ -79,6 +79,12 @@ class IntegrationResult:
     relationship_lattice: list[tuple[str, str]] = field(default_factory=list)
     #: human-readable action log (the Phase 1-4 trace of Figure 1)
     log: list[str] = field(default_factory=list)
+    #: the pair's cluster partition, as member sets (Phase 4's first
+    #: step); derived like the log, so never compared or serialised —
+    #: schema evolution diffs it to report how many clusters an edit moved
+    clusters: tuple[frozenset[ObjectRef], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     # -- provenance queries ----------------------------------------------------
 

@@ -72,6 +72,8 @@ def apply_event(
     :class:`~repro.errors.ReplayError` from it; lenient callers collect).
     ``results``/``fingerprints`` accumulate integration outcomes when the
     caller wants them (audit replay does; undo/redo passes ``results``).
+    A schema edit that re-integrated its pair adds its result to
+    ``results`` too; only integrate events add ``fingerprints``.
     """
     if event.scope == "registry":
         _apply_registry_event(session, event, diverge)
@@ -90,7 +92,7 @@ def apply_event(
         else:
             diverge(event, f"unknown session action {event.action!r}")
     elif event.scope == "evolution":
-        _apply_evolution_event(session, event, diverge)
+        _apply_evolution_event(session, event, diverge, results=results)
     elif event.scope == "federation":
         # federated queries are informational: they read the analysis
         # state (mappings, assertions) but never mutate it, so replay
@@ -181,13 +183,14 @@ def _apply_network_event(session, event, diverge) -> None:
         diverge(event, f"unknown network action {event.action!r}")
 
 
-def _apply_evolution_event(session, event, diverge) -> None:
+def _apply_evolution_event(session, event, diverge, *, results) -> None:
     """Re-drive one schema edit (or reproduce its recorded rejection).
 
     ``apply_edit`` runs its repairs under the bus's replaying guard, so
     re-driving it here never double-appends; the recorded component-schema
     fingerprint (when present — inverse commands carry none) verifies the
-    edit landed on the same schema bytes as the original run.
+    edit landed on the same schema bytes as the original run.  The
+    edit's re-integration, when it ran one, lands on ``results``.
     """
     from repro.errors import ConsistencyFailure
     from repro.evolution.edits import edit_from_payload
@@ -206,7 +209,7 @@ def _apply_evolution_event(session, event, diverge) -> None:
         diverge(event, f"unknown evolution action {event.action!r}")
         return
     try:
-        session.apply_edit(
+        outcome = session.apply_edit(
             payload["schema"], edit_from_payload(payload["edit"])
         )
     except ReplayError:
@@ -214,6 +217,8 @@ def _apply_evolution_event(session, event, diverge) -> None:
     except Exception as exc:
         diverge(event, f"replay raised {type(exc).__name__}: {exc}")
         return
+    if results is not None and outcome.result is not None:
+        results.append(outcome.result)
     recorded = payload.get("fingerprint")
     if recorded is not None:
         replayed = schema_fingerprint(

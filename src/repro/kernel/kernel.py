@@ -71,6 +71,8 @@ class Kernel:
         #: integration results by the offset of their ``session.integrate``
         #: event — lets the tool resync its displayed result after time travel
         self._results_by_offset: "dict[int, IntegrationResult]" = {}
+        #: the logged event :meth:`_replay_one` is re-applying, if any
+        self._replaying: Event | None = None
         #: the attached write-ahead log (see :meth:`attach_wal`), plus the
         #: group-commit buffer: events published since the open group began
         self.wal: "WriteAheadLog | None" = None
@@ -270,7 +272,9 @@ class Kernel:
 
         The mutation emits its event(s) on success, exactly as calling
         the session method directly would.  Returns the integration
-        result for ``session.integrate`` commands, else ``None``.
+        result for ``session.integrate`` commands and for
+        ``evolution.apply_edit`` commands that re-integrated, else
+        ``None``.
         """
         def diverge(event: Any, message: str) -> None:
             raise KernelError(f"command {command}: {message}")
@@ -308,9 +312,9 @@ class Kernel:
                     f"(baseline {base.offset})"
                 )
             self._rebuild_state(base.state)
+            self._head = base.offset
             for event in self.bus.events(base.offset, offset):
                 self._replay_one(event)
-            self._head = offset
             self._resnapshot_audit()
             self._wal_record_head()
 
@@ -351,7 +355,6 @@ class Kernel:
                 return False
             for event in self.bus.events(self._head, end):
                 self._replay_one(event)
-            self._head = end
             self._resnapshot_audit()
             self._wal_record_head()
             return True
@@ -412,12 +415,24 @@ class Kernel:
         raise ReplayError(f"{event_label(event)}: {message}")
 
     def _replay_one(self, event: Event) -> None:
+        """Re-apply one logged event and move the head past it.
+
+        The head follows the replay, so a replayed ``apply_edit`` finds
+        the integration it re-derives exactly as the live edit did.
+        """
         session = self._require_session()
         results: "list[IntegrationResult]" = []
-        with self.bus.replaying():
-            apply_event(session, event, self._strict_diverge, results=results)
+        self._replaying = event
+        try:
+            with self.bus.replaying():
+                apply_event(
+                    session, event, self._strict_diverge, results=results
+                )
+        finally:
+            self._replaying = None
         if results:
             self._results_by_offset[event.offset] = results[-1]
+        self._head = event.offset
 
     def _apply_inverse(self, inverse: object) -> None:
         scope, action, payload = inverse  # type: ignore[misc]
@@ -449,27 +464,53 @@ class Kernel:
         if session is not None:
             session.resnapshot_audit()
 
-    def result_at_head(self) -> "IntegrationResult | None":
-        """The result of the latest integrate event at or before the head.
-
-        An ``evolution.apply_edit`` event with a patched result recorded
-        against it (the tool's localized re-integration) shadows the
-        original integrate result; one without falls through to the
-        integrate event it patched.
-        """
+    def integration_at_head(self) -> Event | None:
+        """The latest ``session.integrate`` event at or before the head."""
         with self.bus.lock:
-            history = self.bus.events(self._base.offset, self._head)
-            for event in reversed(history):
+            for offset in range(self._head, self._base.offset, -1):
+                event = self.bus.event_at(offset)
                 if event.scope == "session" and event.action == "integrate":
-                    return self._results_by_offset.get(event.offset)
-                if event.scope == "evolution" and event.action == "apply_edit":
-                    patched = self._results_by_offset.get(event.offset)
-                    if patched is not None:
-                        return patched
+                    return event
             return None
 
+    def result_at_head(self) -> "IntegrationResult | None":
+        """The latest integration result at or before the head.
+
+        An ``evolution.apply_edit`` event that re-integrated the pair has
+        its result recorded against it, which shadows the integrate
+        event's; an edit without one (it touched another schema, or its
+        re-integration failed) falls through to the result before it.
+        """
+        with self.bus.lock:
+            for offset in range(self._head, self._base.offset, -1):
+                event = self.bus.event_at(offset)
+                if event.scope == "session" and event.action == "integrate":
+                    return self._results_by_offset.get(offset)
+                if event.scope == "evolution" and event.action == "apply_edit":
+                    reintegrated = self._results_by_offset.get(offset)
+                    if reintegrated is not None:
+                        return reintegrated
+            return None
+
+    def wants_result(self, event: Event) -> bool:
+        """Whether the edit that just published ``event`` should re-integrate.
+
+        A live event (a real offset) always does.  Under replay, only the
+        re-application of a logged event without a recorded result does:
+        a result is a function of the log up to its offset, so one
+        recorded earlier (checkout, redo) is still right, and an undo's
+        inverse edit lands on an offset whose result is already recorded.
+        """
+        if event.offset:
+            return True
+        replaying = self._replaying
+        return (
+            replaying is not None
+            and replaying.offset not in self._results_by_offset
+        )
+
     def record_result(self, offset: int, result: "IntegrationResult") -> None:
-        """Remember the result a live integrate event produced."""
+        """Remember the result a live integrate or edit event produced."""
         self._results_by_offset[offset] = result
 
     # -- persistence -------------------------------------------------------------

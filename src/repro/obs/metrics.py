@@ -319,7 +319,7 @@ class AnalysisCounters:
     evolution_assertions_retracted: int = 0
     #: pairs re-propagated by the scoped post-edit solver check
     evolution_pairs_repropagated: int = 0
-    #: clusters rebuilt while patching an integrated schema after an edit
+    #: clusters whose membership an edit's re-integration changed
     evolution_clusters_rebuilt: int = 0
     #: federation plans invalidated by localized evolve changes
     evolution_plans_invalidated: int = 0

@@ -49,15 +49,6 @@ class ToolSession:
     #: how the last :meth:`open` / :meth:`restore_from` rebuilt the
     #: session (a :class:`~repro.kernel.recovery.RecoveryReport`)
     last_recovery: "object | None" = None
-    #: the pair and name the latest integration result was built from
-    #: (drives :meth:`apply_edit`'s localized re-integration)
-    _result_pair: tuple[str, str] | None = field(default=None, repr=False)
-    _result_name: str = field(default="integrated", repr=False)
-    #: cross-integration attribute-merge cache
-    #: (a :class:`~repro.integration.patching.MergeMemo`, lazily built)
-    _merge_memo: "object | None" = field(default=None, repr=False)
-    #: the result's cluster partition, for blast-radius diffs
-    _result_clusters: "object | None" = field(default=None, repr=False)
 
     # -- analysis-state views ------------------------------------------------------
 
@@ -103,9 +94,6 @@ class ToolSession:
         self.analysis.resnapshot_audit()
         if self.selected_pair and name in self.selected_pair:
             self.selected_pair = None
-        if self._result_pair and name in self._result_pair:
-            self._result_pair = None
-            self._result_clusters = None
 
     # -- cross-phase undo/redo -----------------------------------------------------
 
@@ -141,11 +129,6 @@ class ToolSession:
             self.selected_pair = None
         self.result = self.analysis.kernel.result_at_head()
         self.federation = None  # derived from the result; re-attach on demand
-        self._result_clusters = None  # re-snapshotted by the next patch
-        if self._result_pair is not None and any(
-            name not in self.schemas for name in self._result_pair
-        ):
-            self._result_pair = None
 
     def schema(self, name: str) -> Schema:
         try:
@@ -168,12 +151,11 @@ class ToolSession:
         The edit enters the kernel through
         :meth:`AnalysisSession.apply_edit
         <repro.equivalence.session.AnalysisSession.apply_edit>` (registry,
-        OCS/ACS views, assertion networks, scoped solver re-propagation);
-        this layer then patches the integrated schema — a localized
-        re-integration of the current pair reusing every untouched
-        attribute merge — and refreshes the federation mappings in place,
-        while the planner's registry subscription drops only the plans
-        whose legs touch the edited schema.  The returned
+        OCS/ACS views, assertion networks, scoped solver re-propagation,
+        re-integration of the integrated pair); this layer then picks up
+        the re-integrated result and refreshes the federation mappings in
+        place, while the planner's registry subscription drops only the
+        plans whose legs touch the edited schema.  The returned
         :class:`~repro.evolution.EditOutcome` carries the full
         repair-scope report; its summary lands on :attr:`status`.
         """
@@ -191,63 +173,26 @@ class ToolSession:
         scope.ocs_cells_recomputed = (
             counters.ocs_cells_recomputed - cells_before
         )
-        if (
-            self.result is not None
-            and self._result_pair is not None
-            and schema_name in self._result_pair
-        ):
-            self._patch_result(scope)
+        if scope.integrated_patched:
+            self.result = self.analysis.kernel.result_at_head()
+            if planner is not None:
+                from repro.integration.mappings import build_mappings
+
+                mappings = build_mappings(
+                    self.result, list(self.schemas.values())
+                )
+                planner.mappings = {
+                    name: mapping
+                    for name, mapping in mappings.items()
+                    if name in planner.mappings
+                }
+                planner.integrated_schema = self.result.schema
         if planner is not None:
             scope.plans_total = plans_before
             scope.plans_invalidated = planner.last_evolve_invalidated
             counters.evolution_plans_invalidated += scope.plans_invalidated
         self.status = scope.summary()
         return outcome
-
-    def _patch_result(self, scope) -> None:
-        """Localized re-integration of the current result after an edit."""
-        from repro.integration.mappings import build_mappings
-        from repro.integration.patching import MergeMemo, patch_integration
-
-        first, second = self._result_pair
-        if self._merge_memo is None:
-            self._merge_memo = MergeMemo()
-        report = patch_integration(
-            self.registry,
-            self.object_network,
-            self.relationship_network,
-            first,
-            second,
-            options=self.options,
-            result_name=self._result_name,
-            memo=self._merge_memo,
-            previous_clusters=self._result_clusters,
-        )
-        scope.integrated_patched = True
-        scope.clusters_changed = report.clusters_changed
-        scope.clusters_total = report.clusters_total
-        scope.merge_groups_recomputed = report.merge_groups_recomputed
-        scope.merge_groups_total = report.merge_groups_total
-        self.analysis.counters.evolution_clusters_rebuilt += (
-            report.clusters_changed
-        )
-        self.result = report.result
-        self._result_clusters = report.clusters
-        # the patched result shadows the original integrate result for
-        # result_at_head, so time travel lands on the right artifact
-        kernel = self.analysis.kernel
-        kernel.record_result(kernel.head, report.result)
-        if self.federation is not None:
-            planner = self.federation.planner
-            mappings = build_mappings(
-                report.result, list(self.schemas.values())
-            )
-            planner.mappings = {
-                name: mapping
-                for name, mapping in mappings.items()
-                if name in planner.mappings
-            }
-            planner.integrated_schema = report.result.schema
 
     # -- pair selection ------------------------------------------------------------
 
@@ -277,26 +222,9 @@ class ToolSession:
     # -- integration -----------------------------------------------------------------
 
     def integrate(self, result_name: str = "integrated") -> IntegrationResult:
-        from repro.integration.patching import (
-            MergeMemo,
-            cluster_snapshot,
-            pair_object_refs,
-        )
-
         first, second = self.require_pair()
-        if self._merge_memo is None:
-            self._merge_memo = MergeMemo()
         self.result = self.analysis.integrate(
-            first,
-            second,
-            result_name=result_name,
-            options=self.options,
-            merge_memo=self._merge_memo,
-        )
-        self._result_pair = (first, second)
-        self._result_name = result_name
-        self._result_clusters = cluster_snapshot(
-            self.object_network, pair_object_refs(self.registry, first, second)
+            first, second, result_name=result_name, options=self.options
         )
         return self.result
 
@@ -595,9 +523,6 @@ class ToolSession:
         if audit is not None:
             self.analysis.attach_audit(audit)
         self.selected_pair = None
-        self._result_pair = None
-        self._result_clusters = None
-        self._merge_memo = None
 
     # -- browse helpers ---------------------------------------------------------------
 

@@ -5,8 +5,8 @@ DDA sitting — equivalences, assertions, retractions, integrations and
 typed schema edits interleaved — the incrementally repaired session's
 canonical ``state_payload`` fingerprints bitwise-identically to a fresh
 session rebuilt from scratch out of the same observable facts.  A
-second property pins the incrementally *patched* integration result to
-a cold :class:`~repro.integration.integrator.Integrator` run over the
+second property pins the integration result an edit re-derives to a
+cold :class:`~repro.integration.integrator.Integrator` run over the
 rebuilt session.
 """
 
@@ -92,7 +92,7 @@ def test_patched_integration_equals_cold_reintegration(ops):
     ]
     for operation in edits:
         apply_operation(session.analysis, operation)
-    # route one edit through the tool layer so patching actually runs
+    # one edit through the tool layer, which shows the re-integration
     from repro.evolution import edit_from_payload
 
     session.apply_edit(
