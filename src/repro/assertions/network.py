@@ -50,9 +50,11 @@ interactive loop where each DDA action touches one edge:
   the rest of the network is untouched.  (Construct the network with
   ``incremental=False`` to force the old full-rebuild behaviour; the
   benchmarks use it as the baseline.)
-* Derived assertions are refreshed only for the pairs a call touched —
-  its undo-log entries, plus the reset region of a retract — never by a
-  scan of the whole matrix.
+* Derived assertions are not stored: a pair is derived while its mask
+  is one relation and it carries no specified assertion, and its
+  :class:`Assertion` is built from that mask and the pair's last support
+  when it is read.  A singleton mask can only narrow to empty, which
+  rolls back, so what a read reports is what the derivation recorded.
 
 Work done either way is tallied in :attr:`counters`
 (:class:`~repro.obs.metrics.AnalysisCounters`).
@@ -100,6 +102,13 @@ _ABSENT = object()
 _NONZERO = re.compile(rb"[^\x00]")
 
 #: ``bytes.translate`` table marking (1) the masks that are a single
+#: relation bit, and no other (0): the derived pairs, when unspecified.
+_SINGLETON_TRANSLATE = bytes(
+    mask in {RELATION_BIT[relation] for relation in Relation}
+    for mask in range(256)
+)
+
+#: ``bytes.translate`` table marking (1) the masks that are a single
 #: ``equals``, ``contained in`` or ``contains`` bit, and no other (0).
 _CONTAINMENT_TRANSLATE = bytes(
     mask in {RELATION_BIT[Relation.EQ], RELATION_BIT[Relation.PP],
@@ -123,8 +132,7 @@ class _UndoLog:
     """Prior state of every pair touched by one propagation run.
 
     Propagation mutates the network tables in place; on conflict the log
-    restores them, which is what makes trial-specification cheap.  Its
-    keys are also the pairs whose derived assertions need refreshing.
+    restores them, which is what makes trial-specification cheap.
     """
 
     __slots__ = ("entries",)
@@ -185,8 +193,6 @@ class AssertionNetwork:
         #: reset; the reverse reading of this index is the dependency graph
         #: incremental retraction walks
         self._support_index: dict[_Key, set[_Support]] = {}
-        #: pair -> derived assertion (singleton, not specified)
-        self._derived: dict[_Key, Assertion] = {}
         #: shared work counters (an :class:`AnalysisSession` injects its own)
         self.counters = counters if counters is not None else AnalysisCounters()
         #: whether retract/respecify repair incrementally (False = rebuild)
@@ -253,8 +259,6 @@ class AssertionNetwork:
             self._put(node, other, ALL_MASK)
         for key in [k for k in self._supports if node in k]:
             del self._supports[key]
-        for key in [k for k in self._derived if node in k]:
-            del self._derived[key]
         for key, supports in list(self._support_index.items()):
             if node in key:
                 del self._support_index[key]
@@ -490,8 +494,6 @@ class AssertionNetwork:
             )
         self._specified[key] = new
         self._log.append(new)
-        self._derived.pop(key, None)
-        self._refresh_derived(undo.entries)
         return new
 
     def respecify(
@@ -612,7 +614,6 @@ class AssertionNetwork:
             self._put(key[0], key[1], ALL_MASK)
             self._supports.pop(key, None)
             self._support_index.pop(key, None)
-            self._derived.pop(key, None)
         self.counters.closure_pairs_recomputed += len(affected)
         for key in affected:
             survivor = self._specified.get(key)
@@ -669,7 +670,6 @@ class AssertionNetwork:
                             queued.add(other)
         finally:
             self.counters.propagation_steps += steps
-        self._refresh_derived(affected.union(undo.entries))
 
     def _rebuild(self) -> None:
         """Full re-propagation from the specified log (the baseline path)."""
@@ -679,7 +679,6 @@ class AssertionNetwork:
         self._rows = [bytearray([ALL_MASK]) * size for _ in range(size)]
         self._supports = {}
         self._support_index = {}
-        self._derived = {}
         self._specified = {}
         self._log = []
         # Suspend event emission: re-specifying the surviving log is
@@ -705,10 +704,17 @@ class AssertionNetwork:
         network whose nodes are the facts' objects: each fact narrows its
         pair, then :meth:`_propagate` runs once, seeded with every fact
         pair.  Only the feasible masks (and supports) change; nothing is
-        recorded as specified or derived, and nothing is rolled back.
-        Returns the canonical pair that emptied, or ``None``.  A fact that
-        clashes with an earlier one on its own pair fails at once, before
-        any propagation.
+        recorded as specified, and nothing is rolled back.  Returns the
+        canonical pair that emptied, or ``None``.  A fact that clashes with
+        an earlier one on its own pair fails at once, before any
+        propagation.
+
+        With nothing specified, every pair the batch leaves at one relation
+        reads as a derived assertion (:meth:`derived_assertions`): each
+        fact, with no supports, and each pair propagation pinned, with the
+        support of its last narrowing.  After a failure the masks are
+        mid-propagation and no read is a closure.  The solver reads only
+        :meth:`feasible_table`.
         """
         seeds: dict[_Key, tuple[int, int]] = {}
         for fact in facts:
@@ -861,35 +867,48 @@ class AssertionNetwork:
 
     # -- assertions and derivations ---------------------------------------------
 
-    def _refresh_derived(self, touched: Iterable[_Key]) -> None:
-        """Materialise derived assertions for newly singleton touched pairs."""
+    def _derived_at(self, key: _Key) -> Assertion:
+        """The derived assertion on a singleton, unspecified pair, in
+        ``ObjectRef`` order, with the support of its last narrowing."""
         refs = self._refs
-        for key in touched:
-            if key in self._specified or key in self._derived:
-                continue
-            x, y = key
-            if len(MASK_RELATIONS[self._rows[x][y]]) != 1:
-                continue
-            if refs[y] < refs[x]:
-                x, y = y, x
-            (relation,) = MASK_RELATIONS[self._rows[x][y]]
-            kind, decided = derived_kind(relation)
-            support = self._supports.get(key)
-            support_pairs: tuple[Pair, ...] = ()
-            if support is not None:
-                sx, via, sy = support
-                support_pairs = (
-                    ordered_pair(refs[sx], refs[via]),
-                    ordered_pair(refs[via], refs[sy]),
-                )
-            self._derived[key] = Assertion(
-                refs[x],
-                refs[y],
-                kind,
-                Source.DERIVED,
-                supports=support_pairs,
-                integrability_decided=decided,
+        x, y = key
+        if refs[y] < refs[x]:
+            x, y = y, x
+        (relation,) = MASK_RELATIONS[self._rows[x][y]]
+        kind, decided = derived_kind(relation)
+        support = self._supports.get(key)
+        support_pairs: tuple[Pair, ...] = ()
+        if support is not None:
+            sx, via, sy = support
+            support_pairs = (
+                ordered_pair(refs[sx], refs[via]),
+                ordered_pair(refs[via], refs[sy]),
             )
+        return Assertion(
+            refs[x],
+            refs[y],
+            kind,
+            Source.DERIVED,
+            supports=support_pairs,
+            integrability_decided=decided,
+        )
+
+    def _derived_on(self, translate: bytes) -> list[Assertion]:
+        """The derived assertions whose mask ``translate`` marks, by pair.
+
+        One ``bytes.translate`` per live row finds the marked columns;
+        removed nodes' columns are universal, so they are never marked.
+        """
+        specified = self._specified
+        found: list[Assertion] = []
+        for x in self._live:
+            marks = self._rows[x].translate(translate)
+            for match in _NONZERO.finditer(marks, x + 1):
+                key = (x, match.start())
+                if key not in specified:
+                    found.append(self._derived_at(key))
+        found.sort(key=_pair_order)
+        return found
 
     def assertion_for(
         self, first: ObjectRef | str, second: ObjectRef | str
@@ -900,9 +919,11 @@ class AssertionNetwork:
         key = self._key_of(first, second)
         if key is None:
             return None
-        assertion = self._specified.get(key) or self._derived.get(key)
+        assertion = self._specified.get(key)
         if assertion is None:
-            return None
+            if not _SINGLETON_TRANSLATE[self._rows[key[0]][key[1]]]:
+                return None
+            assertion = self._derived_at(key)
         return assertion.oriented(first, second)
 
     def specified_assertions(self) -> list[Assertion]:
@@ -910,8 +931,12 @@ class AssertionNetwork:
         return list(self._log)
 
     def derived_assertions(self) -> list[Assertion]:
-        """All derived (singleton, unspecified) assertions, by pair."""
-        return sorted(self._derived.values(), key=_pair_order)
+        """All derived (singleton, unspecified) assertions, by pair.
+
+        Read off the mask rows with one scan of the live rows; every call
+        builds new :class:`Assertion` objects.
+        """
+        return self._derived_on(_SINGLETON_TRANSLATE)
 
     def all_assertions(self) -> list[Assertion]:
         """Specified assertions followed by derived ones."""
@@ -926,19 +951,11 @@ class AssertionNetwork:
         out — :func:`~repro.assertions.kinds.derived_kind` leaves its
         integrability undecided, so it never places two objects in one
         cluster — and those pairs are the bulk of a finished network.
-        The rest are found with one ``bytes.translate`` per live row,
-        reusing the :class:`Assertion` objects already derived.
+        The rest are found with one ``bytes.translate`` per live row.
         """
-        derived = self._derived
-        found: list[Assertion] = []
-        for x in self._live:
-            marks = self._rows[x].translate(_CONTAINMENT_TRANSLATE)
-            for match in _NONZERO.finditer(marks, x + 1):
-                assertion = derived.get((x, match.start()))
-                if assertion is not None:
-                    found.append(assertion)
-        found.sort(key=_pair_order)
-        return self.specified_assertions() + found
+        return self.specified_assertions() + self._derived_on(
+            _CONTAINMENT_TRANSLATE
+        )
 
     def is_undetermined(
         self, first: ObjectRef | str, second: ObjectRef | str

@@ -534,7 +534,7 @@ class AnalysisSession:
             or self.object_network.specified_assertions()
             or self.relationship_network.specified_assertions()
         ):
-            log.emit("session", "snapshot", self.state_payload())
+            log.emit("session", "snapshot", self._audit_snapshot())
         self._audit_subscription = self.kernel.bus.subscribe(
             lambda event: log.emit(event.scope, event.action, event.payload),
             live_only=True,
@@ -559,7 +559,31 @@ class AnalysisSession:
         session's actual state.
         """
         if self.audit_log is not None:
-            self.audit_log.emit("session", "snapshot", self.state_payload())
+            self.audit_log.emit("session", "snapshot", self._audit_snapshot())
+
+    def _audit_snapshot(self) -> dict:
+        """What a ``session.snapshot`` audit event records.
+
+        The :meth:`state_payload`, plus under ``integration`` the latest
+        ``session.integrate`` event at the kernel head, if any: its pair,
+        result name and options, with the fingerprint of the result at the
+        head (a later edit may have re-integrated it).  Replay re-runs that
+        integration after the snapshot, so an edit that follows
+        re-integrates there exactly when it did live.
+        """
+        from repro.kernel.apply import schema_fingerprint
+
+        payload = self.state_payload()
+        integrated = self.kernel.integration_at_head()
+        if integrated is not None:
+            recorded = dict(integrated.payload)
+            result = self.kernel.result_at_head()
+            if result is None:
+                recorded.pop("fingerprint", None)
+            else:
+                recorded["fingerprint"] = schema_fingerprint(result.schema)
+            payload["integration"] = recorded
+        return payload
 
     def state_payload(self) -> dict:
         """The session's current state, in canonical replayable form.

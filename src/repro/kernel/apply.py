@@ -235,28 +235,38 @@ def _apply_evolution_event(session, event, diverge, *, results) -> None:
 def _apply_integrate_event(
     session, event, diverge, *, results, fingerprints
 ) -> None:
+    result, recorded, replayed = _integrate_recorded(
+        session, event, event.payload, diverge
+    )
+    if results is not None:
+        results.append(result)
+    if fingerprints is not None:
+        fingerprints.append((recorded, replayed))
+
+
+def _integrate_recorded(session, event, payload, diverge):
+    """Run the integration ``payload`` records and check its fingerprint.
+
+    Returns the result with the recorded and replayed fingerprints (the
+    recorded one defaults to the replayed one when the payload has none).
+    """
     from repro.integration.options import IntegrationOptions
 
-    payload = event.payload
-    options = IntegrationOptions(**payload.get("options", {}))
     result = session.integrate(
         payload["first"],
         payload["second"],
         result_name=payload.get("result_name", "integrated"),
-        options=options,
+        options=IntegrationOptions(**payload.get("options", {})),
     )
-    if results is not None:
-        results.append(result)
     replayed = schema_fingerprint(result.schema)
     recorded = payload.get("fingerprint", replayed)
-    if fingerprints is not None:
-        fingerprints.append((recorded, replayed))
     if recorded != replayed:
         diverge(
             event,
             f"integrated schema diverged (recorded {recorded[:12]}…, "
             f"replayed {replayed[:12]}…)",
         )
+    return result, recorded, replayed
 
 
 def _apply_snapshot_event(session, event, diverge) -> None:
@@ -267,6 +277,13 @@ def _apply_snapshot_event(session, event, diverge) -> None:
     time travel / a rebuild such as the tool's Delete Schema).  Any state
     the session already has is discarded and rebuilt from the snapshot,
     in place.
+
+    The snapshot becomes the kernel's baseline, so no integration from
+    before it stays at the head: after an undo past an integrate, a later
+    edit must not re-integrate.  The integration the snapshot records at
+    its head (see
+    :meth:`~repro.equivalence.session.AnalysisSession._audit_snapshot`)
+    is run again after it and checked against the recorded fingerprint.
     """
     from repro.kernel.snapshots import apply_state
 
@@ -281,6 +298,10 @@ def _apply_snapshot_event(session, event, diverge) -> None:
         event.payload,
         on_error=lambda message: diverge(event, message),
     )
+    session.kernel.set_baseline()
+    integration = event.payload.get("integration")
+    if integration is not None:
+        _integrate_recorded(session, event, integration, diverge)
 
 
 def _apply_delete_schema_event(session, event, diverge) -> None:

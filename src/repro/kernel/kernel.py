@@ -106,7 +106,9 @@ class Kernel:
         Replaces the baseline snapshot with the state at the head, so
         checkouts never need events older than it — used after restoring
         from a persisted dictionary whose log was not saved (legacy
-        format), where pre-restore history simply does not exist.
+        format), where pre-restore history simply does not exist, and by
+        audit replay after each ``session.snapshot``, which restates the
+        whole state.
         """
         with self.bus.lock:
             self._base = Snapshot(
@@ -254,13 +256,13 @@ class Kernel:
                 published = self._live_publishes > entry_publishes
                 if published:
                     self._truncate(start)
+                self._head = start
                 if (
                     published
                     or self._require_session().state_payload() != entry_state
                 ):
                     self._rebuild_state(entry_state)
                     self._resnapshot_audit()
-                self._head = start
                 raise
             else:
                 self._wal_commit()

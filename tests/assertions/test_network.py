@@ -208,6 +208,39 @@ class TestRetraction:
         assert set(network._rows[node]) == {ALL_MASK}
         assert {row[node] for row in network._rows} == {ALL_MASK}
 
+    def test_a_removed_node_reads_no_derived_assertion(self):
+        network = AssertionNetwork()
+        a, b, c, d, e = refs("A", "B", "C", "D", "E")
+        for ref in (a, b, c, d, e):
+            network.add_object(ref)
+        network.specify(a, b, AssertionKind.CONTAINED_IN)
+        network.specify(b, c, AssertionKind.CONTAINED_IN)
+        network.specify(c, d, AssertionKind.CONTAINED_IN)
+        network.specify(b, e, AssertionKind.CONTAINED_IN)
+        assert network.assertion_for(a, c).source is Source.DERIVED
+
+        def pairs_at(ref):
+            return [x for x in network.derived_assertions() if ref in x.pair]
+
+        assert pairs_at(c)
+        network.remove_object(c)
+        assert pairs_at(c) == []
+        for other in (a, b, d, e):
+            assert network.assertion_for(c, other) is None
+            assert network.assertion_for(other, c) is None
+        # what never went through c survives the removal
+        assert [x.pair for x in network.derived_assertions()] == [
+            ordered_pair(a, e)
+        ]
+        network.add_object(c)
+        assert pairs_at(c) == []
+        assert network.assertion_for(a, c) is None
+        network.specify(b, c, AssertionKind.CONTAINED_IN)
+        derived = network.assertion_for(c, a)
+        assert derived.kind is AssertionKind.CONTAINS
+        assert set(derived.supports) == {ordered_pair(a, b), ordered_pair(b, c)}
+        assert [x.pair for x in pairs_at(c)] == [ordered_pair(a, c)]
+
     def test_retract_unknown_pair(self, triangle):
         network, a, b, _ = triangle
         with pytest.raises(AssertionSpecError):

@@ -8,9 +8,15 @@ without live events (attach with prior state, checkout, undo), a fresh
 
 import json
 
+import pytest
+
+from repro.ecr.attributes import Attribute
+from repro.ecr.domains import Domain, DomainKind
 from repro.equivalence.session import AnalysisSession
+from repro.errors import ReplayError
+from repro.evolution import AddAttribute
 from repro.obs.audit import AuditLog
-from repro.obs.replay import replay
+from repro.obs.replay import replay, schema_fingerprint
 from repro.workloads.university import build_sc1, build_sc2
 
 
@@ -90,3 +96,61 @@ class TestTrailingRetraction:
         outcome = replay(log)
         assert outcome.verified
         assert outcome.session.registry.nontrivial_classes() == []
+
+
+class TestSnapshotsCarryTheIntegrationAtHead:
+    """A snapshot says which integration is at its head, so an edit after
+    it re-integrates under replay exactly when it did live."""
+
+    BUDGET = AddAttribute("Department", Attribute("Budget", Domain(DomainKind.CHAR)))
+
+    def integrated_session(self) -> tuple[AnalysisSession, AuditLog]:
+        session = AnalysisSession([build_sc1(), build_sc2()])
+        log = session.attach_audit()
+        session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
+        session.integrate("sc1", "sc2")
+        return session, log
+
+    def test_an_undo_past_the_integrate_is_not_reintegrated(self):
+        session, log = self.integrated_session()
+        session.kernel.undo()
+        assert "integration" not in log.events[-1].payload
+        session.apply_edit("sc1", self.BUDGET)
+        assert session.kernel.result_at_head() is None
+        outcome = replay(AuditLog.from_jsonl(log.to_jsonl()))
+        assert outcome.verified
+        assert len(outcome.results) == 1  # the recorded integrate alone
+        assert outcome.session.kernel.result_at_head() is None
+        assert state_key(outcome.session) == state_key(session)
+
+    def test_a_snapshot_with_the_integrate_at_head_still_reintegrates(self):
+        session, log = self.integrated_session()
+        session.kernel.checkout(session.kernel.head)
+        assert log.events[-1].payload["integration"]["first"] == "sc1"
+        session.apply_edit("sc1", self.BUDGET)
+        live = schema_fingerprint(session.kernel.result_at_head().schema)
+        outcome = replay(AuditLog.from_jsonl(log.to_jsonl()))
+        assert outcome.verified
+        assert len(outcome.results) == 2
+        assert schema_fingerprint(outcome.results[-1].schema) == live
+        replayed = outcome.session.kernel.result_at_head()
+        assert schema_fingerprint(replayed.schema) == live
+
+    def test_the_snapshot_records_the_reintegrated_result(self):
+        session, log = self.integrated_session()
+        session.apply_edit("sc1", self.BUDGET)
+        session.kernel.checkout(session.kernel.head)
+        live = schema_fingerprint(session.kernel.result_at_head().schema)
+        assert log.events[-1].payload["integration"]["fingerprint"] == live
+        outcome = replay(log)
+        assert outcome.verified
+        replayed = outcome.session.kernel.result_at_head()
+        assert schema_fingerprint(replayed.schema) == live
+
+    def test_a_snapshot_integration_that_diverges_is_reported(self):
+        session, log = self.integrated_session()
+        session.kernel.checkout(session.kernel.head)
+        log.events[-1].payload["integration"]["fingerprint"] = "0" * 64
+        with pytest.raises(ReplayError, match="session.snapshot"):
+            replay(log)
+        assert not replay(log, strict=False).verified

@@ -16,6 +16,7 @@ from repro.solver import (
     propagate,
     verify_conflict,
 )
+from repro.solver.engine import derived_from
 from repro.workloads.generator import GeneratorConfig, generate_schema_pair
 
 from tests.solver.conftest import A, B, C, T, fact, truth_facts
@@ -83,6 +84,71 @@ class TestPropagate:
         assert outcome.culprit == ordered_pair(A, B)
         assert outcome.domains[outcome.culprit] == frozenset()
         assert outcome.steps == 0
+
+
+class TestBatchNetworkReads:
+    """What a network closed by ``propagate_facts`` reports.
+
+    Nothing is specified on it, so every pair it holds at one relation
+    reads as derived: the facts themselves, with no supports (nothing was
+    composed to pin them), and what propagation pinned, with the support
+    of its last narrowing.  The solver reads none of that; it answers
+    from :meth:`~AssertionNetwork.feasible_table` alone.
+    """
+
+    @staticmethod
+    def closed(facts) -> AssertionNetwork:
+        network = AssertionNetwork()
+        for each in facts:
+            network.add_object(each.first)
+            network.add_object(each.second)
+        assert network.propagate_facts(facts) is None
+        return network
+
+    def test_every_singleton_pair_reads_as_derived(self, chain_facts):
+        network = self.closed(chain_facts)
+        assert network.specified_assertions() == []
+        derived = {a.pair: a for a in network.derived_assertions()}
+        assert set(derived) == {
+            ordered_pair(A, B), ordered_pair(B, C), ordered_pair(A, C)
+        }
+        assert {a.source for a in derived.values()} == {Source.DERIVED}
+        assert derived[ordered_pair(A, B)].supports == ()
+        assert derived[ordered_pair(B, C)].supports == ()
+        assert set(derived[ordered_pair(A, C)].supports) == {
+            ordered_pair(A, B), ordered_pair(B, C)
+        }
+        # the solver's own reading of the table agrees pair for pair
+        assert derived_keys(derived) == derived_keys(
+            derived_from(network.feasible_table(), set())
+        )
+        assert network.assertion_for(C, A) == derived[
+            ordered_pair(A, C)
+        ].oriented(C, A)
+
+    def test_the_solver_reads_no_derived_assertion(
+        self, chain_facts, monkeypatch
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the solver read a derived assertion")
+
+        table = self.closed(chain_facts).feasible_table()
+        network = AssertionNetwork()
+        for ref in (A, B, C, T):
+            network.add_object(ref)
+        for each in chain_facts:
+            network.specify(each.first, each.second, each.kind)
+        for name in (
+            "assertion_for", "derived_assertions", "containment_assertions",
+            "all_assertions", "explain",
+        ):
+            monkeypatch.setattr(AssertionNetwork, name, unread)
+        assert propagate(chain_facts).domains == table
+        assert explain_assertion(network, T, A, AssertionKind.EQUALS).consistent
+        assert not explain_assertion(
+            network, A, C, AssertionKind.DISJOINT_NONINTEGRABLE
+        ).consistent
+        assert ConstraintSolver.from_network(network).solve().derived
 
 
 def finished_sitting_network() -> AssertionNetwork:
