@@ -68,7 +68,7 @@ def integration_effort(
         implicit_assertions=sum(
             1 for assertion in specified if assertion.source is Source.IMPLICIT
         ),
-        derived_assertions=len(network.derived_assertions()),
+        derived_assertions=network.derived_count(),
         equivalent_merges=len(result.equivalent_nodes()),
         derived_parents=len(result.derived_parent_nodes()),
         derived_attributes=len(result.derived_attributes()),

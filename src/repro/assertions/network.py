@@ -388,43 +388,23 @@ class AssertionNetwork:
             kind = AssertionKind.from_code(kind)
         first = coerce_object_ref(first)
         second = coerce_object_ref(second)
-        prior = self._specified_on(first, second)
         try:
             with span("phase3.closure.specify", counters=self.counters):
-                result = self._specify_checked(first, second, kind, source, note)
+                result, restated = self._specify_checked(
+                    first, second, kind, source, note
+                )
         except ConflictError:
-            self._emit_assertion(
-                "conflict", first, second, kind, source, note,
-                inverse=NO_CHANGE,
-            )
+            self._emit_assertion("conflict", first, second, kind, source, note)
             raise
         except AssertionSpecError:
-            self._emit_assertion(
-                "rejected", first, second, kind, source, note,
-                inverse=NO_CHANGE,
-            )
+            self._emit_assertion("rejected", first, second, kind, source, note)
             raise
-        if result is prior:
-            # re-stating the existing assertion: history records the
-            # attempt, but there is nothing to undo
-            inverse: object = NO_CHANGE
-        else:
-            inverse = self._retract_inverse(first, second)
+        # re-stating the existing assertion: history records the attempt,
+        # but there is nothing to undo
         self._emit_assertion(
-            "specify", first, second, kind, source, note, inverse=inverse
+            "specify", first, second, kind, source, note, undoable=not restated
         )
         return result
-
-    def _retract_inverse(
-        self, first: ObjectRef, second: ObjectRef
-    ) -> object:
-        if self.events is None:
-            return None
-        return (
-            self.events.scope,
-            "retract",
-            {"first": str(first), "second": str(second)},
-        )
 
     def _emit_assertion(
         self,
@@ -435,20 +415,29 @@ class AssertionNetwork:
         source: Source,
         note: str,
         *,
-        inverse: object = None,
+        undoable: bool = False,
     ) -> None:
+        """Publish one assertion event; an ``undoable`` one carries the
+        pair's retract as its inverse, any other :data:`NO_CHANGE`."""
         if self.events is None:
             return
+        first_name, second_name = str(first), str(second)
         self.events.emit(
             action,
             {
-                "first": str(first),
-                "second": str(second),
+                "first": first_name,
+                "second": second_name,
                 "kind": kind.code,
                 "source": source.name,
                 "note": note,
             },
-            inverse=inverse,
+            inverse=(
+                self.events.scope,
+                "retract",
+                {"first": first_name, "second": second_name},
+            )
+            if undoable
+            else NO_CHANGE,
         )
 
     def _specify_checked(
@@ -458,7 +447,8 @@ class AssertionNetwork:
         kind: AssertionKind,
         source: Source,
         note: str,
-    ) -> Assertion:
+    ) -> tuple[Assertion, bool]:
+        """The specified assertion, and whether it was already there."""
         x = self._node(first)
         y = self._node(second)
         if x == y:
@@ -469,7 +459,7 @@ class AssertionNetwork:
         if existing is not None:
             oriented = existing.oriented(first, second)
             if oriented.kind is kind:
-                return existing  # re-stating the same assertion is a no-op
+                return existing, True  # re-stating the same assertion
             raise AssertionSpecError(
                 f"pair {first}/{second} already carries "
                 f"assertion {oriented.kind.code}; retract or respecify it"
@@ -494,7 +484,7 @@ class AssertionNetwork:
             )
         self._specified[key] = new
         self._log.append(new)
-        return new
+        return new, False
 
     def respecify(
         self,
@@ -938,6 +928,21 @@ class AssertionNetwork:
         """
         return self._derived_on(_SINGLETON_TRANSLATE)
 
+    def derived_count(self) -> int:
+        """``len(derived_assertions())``, without building an assertion.
+
+        Counts the singleton masks with the same scan of the live rows,
+        less the specified pairs among them.
+        """
+        rows = self._rows
+        singletons = sum(
+            rows[x].translate(_SINGLETON_TRANSLATE).count(1, x + 1)
+            for x in self._live
+        )
+        return singletons - sum(
+            _SINGLETON_TRANSLATE[rows[x][y]] for x, y in self._specified
+        )
+
     def all_assertions(self) -> list[Assertion]:
         """Specified assertions followed by derived ones."""
         return self.specified_assertions() + self.derived_assertions()
@@ -961,7 +966,12 @@ class AssertionNetwork:
         self, first: ObjectRef | str, second: ObjectRef | str
     ) -> bool:
         """Whether the pair still admits more than one relation."""
-        return len(self.feasible(first, second)) > 1
+        x = self._node(coerce_object_ref(first))
+        y = self._node(coerce_object_ref(second))
+        if x == y:
+            return False
+        mask = self._rows[x][y]
+        return mask & (mask - 1) != 0
 
     def feasible_table(self) -> dict[Pair, frozenset[Relation]]:
         """Every non-universal feasible set, keyed by canonical pair.

@@ -18,7 +18,7 @@ from repro.ecr.relationships import RelationshipSet
 from repro.errors import DuplicateNameError, SchemaError, UnknownNameError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ObjectRef:
     """Fully qualified reference to a structure: ``schema.object``.
 

@@ -63,8 +63,9 @@ class OcsMatrix:
         self.first_schema = first_schema
         self.second_schema = second_schema
         self.kind_filter = kind_filter
-        #: memoized cell values, dropped selectively on registry changes
-        self._cells: dict[tuple[ObjectRef, ObjectRef], int] = {}
+        #: memoized cell values: row -> one slot per column position
+        #: (``None`` until counted), dropped selectively on registry changes
+        self._cells: dict[ObjectRef, list[int | None]] = {}
         #: memoized per-object attribute counts (shape-stable between refreshes)
         self._attribute_counts: dict[ObjectRef, int] = {}
         #: bumped on every invalidation that touched this matrix
@@ -83,7 +84,10 @@ class OcsMatrix:
         self._rows = self._select(self.first_schema)
         self._columns = self._select(self.second_schema)
         self._row_set = set(self._rows)
-        self._column_set = set(self._columns)
+        #: column -> its position in every row's cell list
+        self._column_index = {
+            column: position for position, column in enumerate(self._columns)
+        }
 
     def _select(self, schema_name: str) -> list[ObjectRef]:
         schema = self._registry.schema(schema_name)
@@ -120,23 +124,36 @@ class OcsMatrix:
             self.view_cache.clear()
             self._generation += 1
             return
+        affected = {ObjectRef(schema, name) for schema, name in change.objects}
         if structural:
             # an evolution edit added/dropped a structure: re-derive the
-            # rows/columns, but only the listed objects' cells can differ
+            # rows/columns, but only the listed objects' cells can differ;
+            # the other columns' cells move to their new positions
+            old_index = self._column_index
             self._reselect()
-        affected = {ObjectRef(schema, name) for schema, name in change.objects}
-        dirty_rows = affected & self._row_set
-        dirty_columns = affected & self._column_set
-        if not structural and not dirty_rows and not dirty_columns:
-            return
-        self._cells = {
-            key: value
-            for key, value in self._cells.items()
-            if key[0] in self._row_set
-            and key[1] in self._column_set
-            and key[0] not in dirty_rows
-            and key[1] not in dirty_columns
-        }
+            moves = [
+                None if column in affected else old_index.get(column)
+                for column in self._columns
+            ]
+            self._cells = {
+                row: [None if at is None else cells[at] for at in moves]
+                for row, cells in self._cells.items()
+                if row in self._row_set and row not in affected
+            }
+        else:
+            dirty_rows = affected & self._row_set
+            dirty_columns = [
+                self._column_index[ref]
+                for ref in affected
+                if ref in self._column_index
+            ]
+            if not dirty_rows and not dirty_columns:
+                return
+            for row in dirty_rows:
+                self._cells.pop(row, None)
+            for cells in self._cells.values():
+                for at in dirty_columns:
+                    cells[at] = None
         for ref in affected:
             # attribute add/drop changes the per-object count memo too
             self._attribute_counts.pop(ref, None)
@@ -168,36 +185,63 @@ class OcsMatrix:
     # -- cells ----------------------------------------------------------------
 
     def count(self, row: ObjectRef, column: ObjectRef) -> int:
-        """Equivalent-attribute count for one object pair."""
-        return self._count(row, column, {})
+        """Equivalent-attribute count for one object pair.
 
-    def _count(
-        self,
-        row: ObjectRef,
-        column: ObjectRef,
-        numbers: dict[ObjectRef, set[int]],
-    ) -> int:
-        """One cell through the memo.
-
-        ``numbers`` holds each object's class-number set for the span of
-        one call, so a whole-matrix pass builds it once per object
-        rather than twice per cell.
+        A pair off the matrix (not a row by a column) is counted afresh
+        on every call and never memoized.
         """
-        key = (row, column)
         counters = self._registry.counters
-        cached = self._cells.get(key)
-        if cached is not None:
+        position = self._column_index.get(column)
+        if position is None or row not in self._row_set:
+            counters.ocs_cells_recomputed += 1
+            return len(self._class_numbers(row) & self._class_numbers(column))
+        cells = self._cells.get(row)
+        if cells is None:
+            cells = self._cells[row] = [None] * len(self._columns)
+        value = cells[position]
+        if value is not None:
             counters.ocs_cache_hits += 1
-            return cached
-        for ref in key:
-            if ref not in numbers:
-                numbers[ref] = self._registry.object_class_numbers(
-                    (ref.schema, ref.object_name)
-                )
-        value = len(numbers[row] & numbers[column])
+            return value
+        value = len(self._class_numbers(row) & self._class_numbers(column))
         counters.ocs_cells_recomputed += 1
-        self._cells[key] = value
+        cells[position] = value
         return value
+
+    def _class_numbers(self, ref: ObjectRef) -> set[int]:
+        return self._registry.object_class_numbers((ref.schema, ref.object_name))
+
+    def _counted_rows(self) -> list[list[int]]:
+        """Every row's cell list, in row order, with no slot left uncounted.
+
+        The lists are the memo itself: callers copy before handing them
+        out.  Each object's class-number set is read at most once per
+        call, and only for an object with a cell to count.
+        """
+        columns = self._columns
+        width = len(columns)
+        column_numbers: list[set[int] | None] = [None] * width
+        recomputed = 0
+        counted: list[list[int]] = []
+        for row in self._rows:
+            cells = self._cells.get(row)
+            if cells is None:
+                cells = self._cells[row] = [None] * width
+            if None in cells:
+                row_numbers = self._class_numbers(row)
+                for position, value in enumerate(cells):
+                    if value is None:
+                        numbers = column_numbers[position]
+                        if numbers is None:
+                            numbers = column_numbers[position] = (
+                                self._class_numbers(columns[position])
+                            )
+                        cells[position] = len(row_numbers & numbers)
+                        recomputed += 1
+            counted.append(cells)  # type: ignore[arg-type]
+        counters = self._registry.counters
+        counters.ocs_cells_recomputed += recomputed
+        counters.ocs_cache_hits += width * len(counted) - recomputed
+        return counted
 
     def entry(self, row: ObjectRef, column: ObjectRef) -> OcsEntry:
         return OcsEntry(row, column, self.count(row, column))
@@ -205,24 +249,18 @@ class OcsMatrix:
     def entries(self, include_zero: bool = False) -> list[OcsEntry]:
         """All matrix entries row-major; zero-similarity pairs are skipped
         unless ``include_zero`` is set (Screen 8 only shows candidates)."""
-        numbers: dict[ObjectRef, set[int]] = {}
         with span("phase2.ocs.recompute", counters=self._registry.counters):
-            found: list[OcsEntry] = []
-            for row in self._rows:
-                for column in self._columns:
-                    value = self._count(row, column, numbers)
-                    if value > 0 or include_zero:
-                        found.append(OcsEntry(row, column, value))
-            return found
+            return [
+                OcsEntry(row, column, value)
+                for row, cells in zip(self._rows, self._counted_rows())
+                for column, value in zip(self._columns, cells)
+                if value > 0 or include_zero
+            ]
 
     def as_counts(self) -> list[list[int]]:
         """Dense count matrix (row-major) for numeric consumers."""
-        numbers: dict[ObjectRef, set[int]] = {}
         with span("phase2.ocs.recompute", counters=self._registry.counters):
-            return [
-                [self._count(row, column, numbers) for column in self._columns]
-                for row in self._rows
-            ]
+            return [list(cells) for cells in self._counted_rows()]
 
     def render(self) -> str:
         """Human-readable rendering used by the tool's debug view."""

@@ -63,6 +63,42 @@ class Subscription:
         self._bus._remove(self)
 
 
+class Group:
+    """The context manager :meth:`EventBus.grouped` returns.
+
+    A class rather than a generator, since every DDA step enters one.
+    The lock is taken on entry and released on exit; the outermost
+    group on the bus opens the transaction and closes it.
+    """
+
+    __slots__ = ("bus", "_outermost")
+
+    def __init__(self, bus: "EventBus") -> None:
+        self.bus = bus
+        self._outermost = False
+
+    def __enter__(self) -> int | None:
+        bus = self.bus
+        bus._lock.acquire()
+        if bus._replay_depth:
+            self._outermost = False
+            return None
+        self._outermost = bus._active_txn is None
+        if self._outermost:
+            bus._txn_counter += 1
+            bus._active_txn = bus._txn_counter
+        return bus._active_txn
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._close()
+        self.bus._lock.release()
+
+    def _close(self) -> None:
+        """End the transaction if this group opened it (lock still held)."""
+        if self._outermost:
+            self.bus._active_txn = None
+
+
 class EventBus:
     """Append-only event log + subscriber registry, behind one lock."""
 
@@ -169,27 +205,16 @@ class EventBus:
 
     # -- grouping -------------------------------------------------------------
 
-    @contextmanager
-    def grouped(self) -> Iterator[int | None]:
+    def grouped(self) -> "Group":
         """Stamp all events published inside with one transaction id.
 
         Holds the bus lock for the duration — the single-writer
         discipline that keeps a group's events contiguous in the log.
-        Nested groups join the outermost transaction.
+        Nested groups join the outermost transaction.  Entering the
+        returned :class:`Group` gives the transaction id (``None`` while
+        replaying).
         """
-        with self._lock:
-            if self._replay_depth:
-                yield None
-                return
-            outermost = self._active_txn is None
-            if outermost:
-                self._txn_counter += 1
-                self._active_txn = self._txn_counter
-            try:
-                yield self._active_txn
-            finally:
-                if outermost:
-                    self._active_txn = None
+        return Group(self)
 
     # -- publishing -----------------------------------------------------------
 
@@ -331,4 +356,4 @@ class EventEmitter:
             self._mute_depth -= 1
 
 
-__all__ = ["EventBus", "EventEmitter", "Subscription", "NO_CHANGE"]
+__all__ = ["EventBus", "EventEmitter", "Group", "Subscription", "NO_CHANGE"]

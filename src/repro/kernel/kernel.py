@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import KernelError, ReplayError
 from repro.kernel.apply import apply_event, event_label
-from repro.kernel.bus import EventBus
+from repro.kernel.bus import EventBus, Group
 from repro.kernel.events import NO_CHANGE, Command, Event
 from repro.kernel.snapshots import Snapshot, apply_state
 
@@ -56,6 +56,25 @@ class _CommandView:
         self.scope = command.scope
         self.action = command.action
         self.payload = command.args
+
+
+class _KernelGroup(Group):
+    """The context manager :meth:`Kernel.group` returns."""
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: "Kernel") -> None:
+        super().__init__(kernel.bus)
+        self.kernel = kernel
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._close()
+        try:
+            # no rollback on exception — whatever committed stays in the
+            # log, so it must reach the WAL too
+            self.kernel._wal_commit()
+        finally:
+            self.bus._lock.release()
 
 
 class Kernel:
@@ -212,23 +231,15 @@ class Kernel:
 
     # -- grouping and transactions ----------------------------------------------
 
-    @contextmanager
-    def group(self) -> Iterator[int | None]:
+    def group(self) -> "_KernelGroup":
         """Commit the mutations inside as one undo/redo unit.
 
-        Thin wrapper over :meth:`EventBus.grouped` that also journals
-        an outermost commit to the WAL.  No rollback on exception — a
-        recorded conflict legitimately stays in the log; use
-        :meth:`transaction` for all-or-nothing semantics.
+        An :meth:`EventBus.grouped` group that also journals an
+        outermost commit to the WAL, still under the bus lock.  No
+        rollback on exception — a recorded conflict legitimately stays
+        in the log; use :meth:`transaction` for all-or-nothing semantics.
         """
-        with self.bus.lock:
-            try:
-                with self.bus.grouped() as txn:
-                    yield txn
-            finally:
-                # no rollback on exception — whatever committed stays in
-                # the log, so it must reach the WAL too
-                self._wal_commit()
+        return _KernelGroup(self)
 
     @contextmanager
     def transaction(self) -> Iterator[int | None]:

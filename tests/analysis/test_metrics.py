@@ -34,3 +34,49 @@ class TestEffort:
         empty = AssertionNetwork()
         effort = integration_effort(empty, paper_result)
         assert effort.automation_ratio == 0.0
+
+
+class TestDerivedCount:
+    """``integration_effort`` counts derived pairs off the mask rows."""
+
+    def test_paper_world(self, object_network, paper_result):
+        effort = integration_effort(object_network, paper_result)
+        assert effort.derived_assertions == len(
+            object_network.derived_assertions()
+        )
+        assert object_network.derived_count() == effort.derived_assertions
+
+    def test_finished_generated_world(self):
+        from repro.equivalence.session import AnalysisSession
+        from repro.workloads.generator import (
+            GeneratorConfig,
+            generate_schema_pair,
+        )
+
+        pair = generate_schema_pair(
+            GeneratorConfig(
+                seed=1000, concepts=34, overlap=0.6, category_rate=1.0
+            )
+        )
+        session = AnalysisSession([pair.first, pair.second])
+        for left, right in sorted(pair.truth.attribute_pairs):
+            session.declare_equivalent(left, right)
+        network = session.object_network
+        for candidate in session.candidate_pairs(
+            pair.first.name, pair.second.name, include_zero=True
+        ):
+            if network.is_undetermined(candidate.first, candidate.second):
+                session.specify(
+                    candidate.first,
+                    candidate.second,
+                    pair.truth.assertion_between(
+                        candidate.first, candidate.second
+                    ),
+                )
+        result = session.integrate(pair.first.name, pair.second.name)
+        derived = len(network.derived_assertions())
+        assert derived > 1000
+        assert integration_effort(network, result).derived_assertions == derived
+        # a removed node's pairs leave both the list and the count
+        network.remove_object(network.specified_assertions()[-1].first)
+        assert network.derived_count() == len(network.derived_assertions())
