@@ -9,9 +9,9 @@ them in CI):
   after the edit recomputes at most 10% of the cells a from-scratch
   session recomputes (the edit touched one class of one component, so
   only that row of that component's pair matrices may go cold);
-* **propagation locality** — the scoped solver re-propagation does at
-  most 10% of the propagation steps a full rebuild pays to re-derive
-  the assertion closure;
+* **propagation locality** — the repair (closure and solver steps
+  alike) does at most 10% of the propagation steps a full rebuild pays
+  to re-derive the assertion closure;
 * **plan precision** — exactly the cached plans with a leg on the
   edited class are invalidated; plans over other classes survive and
   the planner reports the count in ``last_evolve_invalidated``.
@@ -24,6 +24,12 @@ gates: the re-integrated schema fingerprints like a cold
 state (**reintegration_matches_cold**), and an attribute edit moves no
 cluster (**reintegration_clusters_changed** == 0).
 
+A third section, **edit_cost**, records what one edit costs on a
+finished review: the median seconds of :data:`EDIT_COST_REPEATS`
+``AddAttribute`` edits on perfbench's sitting world (seed 1000, 34
+concepts) after every true equivalence is declared and every
+undetermined candidate pair answered.  It has no gate.
+
 The from-scratch baseline is the rebuild oracle
 (:func:`repro.baselines.rebuild_session`): a cold session re-driven
 through the same observable facts, whose fingerprint the incremental
@@ -33,6 +39,9 @@ Run:  PYTHONPATH=src python benchmarks/record_evolution.py
 """
 
 from __future__ import annotations
+
+import itertools
+import statistics
 
 import harness
 from harness import Gates, component_mapping, component_schema, timed
@@ -51,6 +60,7 @@ from repro.federation import FederationEngine
 from repro.kernel.apply import schema_fingerprint
 from repro.obs.trace import tracing
 from repro.tool.session import ToolSession
+from repro.workloads.generator import GeneratorConfig, generate_schema_pair
 from repro.workloads.university import (
     PAPER_ASSERTION_CODES,
     PAPER_RELATIONSHIP_CODES,
@@ -65,6 +75,12 @@ COMPONENTS = 8
 EDITED_COMPONENT = "comp3"
 #: repair may cost at most this fraction of the from-scratch baseline
 LOCALITY_BUDGET = 0.10
+#: the edit-cost world: perfbench's sitting shape
+EDIT_COST_WORLD = GeneratorConfig(
+    seed=1000, concepts=34, overlap=0.6, category_rate=1.0
+)
+#: timed edits; the record keeps their median
+EDIT_COST_REPEATS = 9
 
 
 def build_world():
@@ -158,6 +174,45 @@ def reintegration(gates: Gates) -> dict:
     }
 
 
+def edit_cost() -> dict:
+    """The median cost of one attribute edit on a finished review."""
+    pair = generate_schema_pair(EDIT_COST_WORLD)
+    first, second = pair.first.name, pair.second.name
+    session = AnalysisSession([pair.first, pair.second])
+    for left, right in sorted(pair.truth.attribute_pairs):
+        session.declare_equivalent(left, right)
+    network = session.object_network
+    for candidate in session.candidate_pairs(first, second, include_zero=True):
+        if network.is_undetermined(candidate.first, candidate.second):
+            session.specify(
+                candidate.first,
+                candidate.second,
+                pair.truth.assertion_between(candidate.first, candidate.second),
+            )
+    owner = pair.first.object_classes()[0].name
+    serial = itertools.count()
+
+    def edit():
+        attribute = Attribute(
+            f"Cost_probe_{next(serial)}", Domain(DomainKind.INTEGER)
+        )
+        return session.apply_edit(first, AddAttribute(owner, attribute))
+
+    events = session.kernel.bus.offset
+    seconds, _ = timed(
+        edit, repeats=EDIT_COST_REPEATS, reduce=statistics.median
+    )
+    return {
+        "world": f"seed={EDIT_COST_WORLD.seed} "
+        f"concepts={EDIT_COST_WORLD.concepts}, review finished; "
+        f"AddAttribute on {first}.{owner}",
+        "classes": len(pair.first) + len(pair.second),
+        "events": events,
+        "edits": EDIT_COST_REPEATS,
+        "median_seconds": round(seconds, 6),
+    }
+
+
 def main() -> int:
     session, engine, names = build_world()
     planner = engine.planner
@@ -248,6 +303,7 @@ def main() -> int:
         },
         "ratios": ratios,
         "reintegration": reintegrated,
+        "edit_cost": edit_cost(),
     }
     return harness.write_record(OUTPUT, report, gates)
 

@@ -1,4 +1,4 @@
-"""Record the batch solver against the closure oracle to BENCH_solver.json.
+"""Record the batch solver against the naive fixpoint to BENCH_solver.json.
 
 Three instrumented comparisons, each with a hard gate (non-zero exit on
 failure, so ``make solver-smoke`` can enforce them in CI):
@@ -6,22 +6,26 @@ failure, so ``make solver-smoke`` can enforce them in CI):
 * **fixpoint parity** — on conflict-free generated workloads (with
   categories, whose implicit containments are prepended to the truth
   facts so the closure has triangles to derive) the solver's derived
-  assertions and narrowed feasible sets must equal the incremental
-  network's, every world must derive at least one assertion, and the
-  batch run (one kernel run seeded with every fact) takes no more
-  propagation steps than the oracle's specify-at-a-time runs;
+  assertions and narrowed feasible sets must equal the independent
+  naive all-triangles fixpoint (:func:`repro.baselines.naive_closure`),
+  every world must derive at least one assertion, and the batch run
+  (one kernel run seeded with every fact) takes no more propagation
+  steps than a plain :class:`AssertionNetwork` fed one ``specify`` per
+  fact;
 * **conflict detection** — on conflict-seeded workloads
   (``repro.workloads.conflict_seeded_config``) every planted
   contradiction must raise :class:`~repro.errors.ConsistencyFailure`
   with a conflict set that ``verify_conflict`` confirms is both
-  sufficient and minimal, and the oracle must agree the input is
-  inconsistent;
+  sufficient and minimal, and the naive fixpoint must empty a pair on
+  the same input;
 * **suggestion recall** — on conflict-free runs at least one planted
   true equivalence must rank in the suggestion top 3.
 
-Every timing field is the minimum over :data:`REPEATS` runs of the same
-call (``harness.timed``'s reduction): contention only adds time, and a
-single run on a shared machine moves by a factor of three.
+Every timing field but ``oracle_seconds`` is the minimum over
+:data:`REPEATS` runs of the same call (``harness.timed``'s reduction):
+contention only adds time, and a single run on a shared machine moves by
+a factor of three.  The naive fixpoint takes seconds per world, so
+``oracle_seconds`` is one run.
 
 Run:  PYTHONPATH=src python benchmarks/record_solver.py
 """
@@ -33,7 +37,7 @@ from harness import Gates, timed
 from repro.assertions.assertion import Assertion
 from repro.assertions.kinds import AssertionKind
 from repro.assertions.network import AssertionNetwork
-from repro.baselines import closure_oracle, derived_keys, objects_of
+from repro.baselines import derived_keys, naive_closure, objects_of
 from repro.equivalence.session import AnalysisSession
 from repro.errors import ConsistencyFailure
 from repro.obs.metrics import AnalysisCounters
@@ -71,6 +75,19 @@ def implicit_facts(pair) -> list[Assertion]:
     return network.seed_schema(pair.first) + network.seed_schema(pair.second)
 
 
+def specify_steps(facts: list[Assertion]) -> int:
+    """Propagation steps of a plain network fed one ``specify`` per fact."""
+    counters = AnalysisCounters()
+    network = AssertionNetwork(counters=counters)
+    for ref in objects_of(facts):
+        network.add_object(ref)
+    for fact in facts:
+        network.specify(
+            fact.first, fact.second, fact.kind, fact.source, fact.note
+        )
+    return counters.propagation_steps
+
+
 def record_fixpoint_parity(gates: Gates) -> dict:
     runs = []
     for seed, concepts, overlap in PARITY_WORLDS:
@@ -89,23 +106,23 @@ def record_fixpoint_parity(gates: Gates) -> dict:
             repeats=REPEATS,
         )
         oracle_seconds, oracle = timed(
-            lambda: closure_oracle(objects_of(facts), facts),
-            repeats=REPEATS,
+            lambda: naive_closure(objects_of(facts), facts)
         )
+        table, derived = oracle if oracle is not None else ({}, set())
         runs.append(
             {
                 "world": f"seed={seed} concepts={concepts} overlap={overlap}",
                 "facts": len(facts),
                 "derived": len(solution.derived),
                 "solver_steps": solution.steps,
-                "oracle_steps": oracle.propagation_steps,
+                "specify_steps": specify_steps(facts),
                 "solver_seconds": round(solver_seconds, 6),
                 "oracle_seconds": round(oracle_seconds, 6),
-                "oracle_consistent": oracle.consistent,
+                "oracle_consistent": oracle is not None,
                 "derived_equal": derived_keys(
                     {a.pair: a for a in solution.derived}
-                ) == derived_keys(oracle.derived),
-                "feasible_equal": solution.feasible == oracle.feasible,
+                ) == derived,
+                "feasible_equal": solution.feasible == table,
             }
         )
     for gate, key in (
@@ -116,7 +133,7 @@ def record_fixpoint_parity(gates: Gates) -> dict:
         gates.holds(gate, all(run[key] for run in runs))
     gates.holds(
         "parity_solver_steps_within_oracle",
-        all(r["solver_steps"] <= r["oracle_steps"] for r in runs),
+        all(r["solver_steps"] <= r["specify_steps"] for r in runs),
     )
     # equal empty sets would prove nothing: every world must derive
     gates.at_least("parity_min_derived", min(r["derived"] for r in runs), 1)
@@ -155,8 +172,8 @@ def record_conflict_detection(gates: Gates) -> dict:
             caught += was_caught
             verified += was_verified
             minimize_seconds += seconds
-            oracle = closure_oracle(objects_of(facts), facts)
-            oracle_missed += oracle.consistent
+            missed = naive_closure(objects_of(facts), facts) is not None
+            oracle_missed += missed
         runs.append(
             {
                 "world": f"seed={seed} contradictions={contradictions}",
@@ -217,11 +234,15 @@ def main() -> int:
     gates = Gates()
     report = {
         "description": (
-            "Batch constraint solver vs. the incremental-closure oracle: "
+            "Batch constraint solver vs. the naive path-consistency "
+            "fixpoint: "
             "fixpoint parity, conflict detection with verified-minimal "
             "sets, and suggestion top-3 recall; see docs/SOLVER.md"
         ),
-        "timing": f"seconds fields: min of {REPEATS} repeats",
+        "timing": (
+            f"seconds fields: min of {REPEATS} repeats, "
+            "oracle_seconds: one run"
+        ),
         "fixpoint_parity": record_fixpoint_parity(gates),
         "conflict_detection": record_conflict_detection(gates),
         "suggestion_recall": record_suggestion_recall(gates),

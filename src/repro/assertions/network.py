@@ -252,22 +252,6 @@ class AssertionNetwork:
             with span("evolution.repair.assertions", counters=self.counters):
                 for assertion in retracted:
                     self.retract(assertion.first, assertion.second)
-        # Belt and braces: the retraction closures above already reset every
-        # entry that involved (or was supported through) the node, but purge
-        # any residue so a stale constraint can never survive the node.
-        for other in range(len(self._rows)):
-            self._put(node, other, ALL_MASK)
-        for key in [k for k in self._supports if node in k]:
-            del self._supports[key]
-        for key, supports in list(self._support_index.items()):
-            if node in key:
-                del self._support_index[key]
-                continue
-            pruned = {s for s in supports if node not in s}
-            if not pruned:
-                del self._support_index[key]
-            elif pruned != supports:
-                self._support_index[key] = pruned
         del self._live[node]
         self._ranks = None
         return retracted

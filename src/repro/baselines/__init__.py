@@ -6,9 +6,9 @@
   without transitive derivation; and
 * :mod:`repro.baselines.strategies` — integration-order strategies for
   n-ary integration; and
-* :mod:`repro.baselines.solver_baselines` — the incremental-closure
-  oracle the batch constraint solver is checked against, and the naive
-  path-consistency fixpoint the network itself is checked against; and
+* :mod:`repro.baselines.solver_baselines` — the naive path-consistency
+  fixpoint both the assertion network and the batch constraint solver
+  are checked against; and
 * :mod:`repro.baselines.evolution_baselines` — the from-scratch rebuild
   oracle incremental schema-evolution repair is pinned to.
 """
@@ -26,8 +26,6 @@ from repro.baselines.closure_baselines import (
     drive_assertions_without_closure,
 )
 from repro.baselines.solver_baselines import (
-    OracleOutcome,
-    closure_oracle,
     derived_keys,
     naive_closure,
     objects_of,
@@ -42,8 +40,6 @@ from repro.baselines.evolution_baselines import (
 from repro.baselines.strategies import ladder_orders
 
 __all__ = [
-    "OracleOutcome",
-    "closure_oracle",
     "derived_keys",
     "naive_closure",
     "objects_of",

@@ -1,29 +1,16 @@
-"""The oracles the batch solver is checked against.
+"""The independent oracle the network and the batch solver are checked against.
 
-``repro.solver`` recomputes in one batch run what :class:`AssertionNetwork`
-derives incrementally; these drivers run the network over a raw fact list
-so the Hypothesis suite and ``benchmarks/record_solver.py`` can compare the
-batch and the specify-at-a-time answers fact-for-fact:
-
-* :func:`closure_oracle` — feed facts into a fresh network one at a
-  time (the tool's Screen 8 path) and report its derived assertions,
-  feasible table and propagation-step count;
-* the solver side lives in :class:`repro.solver.ConstraintSolver`.
-
-On conflict-free inputs the two must agree exactly; on inconsistent
-inputs the oracle's :class:`~repro.errors.ConflictError` and the
-solver's :class:`~repro.errors.ConsistencyFailure` must co-occur.
-
-:func:`naive_closure` is the independent oracle for the network itself:
-a deliberately naive all-triangles path-consistency fixpoint over
-frozensets, built on :func:`~repro.assertions.composition.compose_sets`
-alone, so it shares no code with the closure kernel that both the network
-and the solver run on.
+:func:`naive_closure` is a deliberately naive all-triangles
+path-consistency fixpoint over frozensets, built on
+:func:`~repro.assertions.composition.compose_sets` alone, so it shares no
+code with the closure kernel that both :class:`AssertionNetwork` and
+``repro.solver`` run on.  The Hypothesis suites and
+``benchmarks/record_solver.py`` compare feasible tables, derived keys
+(:func:`derived_keys`) and the consistency verdict against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.assertions.assertion import Assertion, Pair, ordered_pair
@@ -33,28 +20,7 @@ from repro.assertions.composition import (
     converse_set,
 )
 from repro.assertions.kinds import AssertionKind, Relation
-from repro.assertions.network import AssertionNetwork
 from repro.ecr.schema import ObjectRef
-from repro.errors import ConflictError
-from repro.obs.metrics import AnalysisCounters
-
-
-@dataclass
-class OracleOutcome:
-    """What the incremental network made of a fact sequence."""
-
-    network: AssertionNetwork
-    derived: dict[Pair, Assertion]
-    feasible: dict[Pair, frozenset[Relation]]
-    propagation_steps: int
-    conflict: ConflictError | None = None
-    #: index into the fact sequence of the rejected fact, if any
-    conflict_index: int | None = None
-    accepted: list[Assertion] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return self.conflict is None
 
 
 def derived_keys(derived: dict[Pair, Assertion]) -> set[tuple[Pair, int]]:
@@ -62,48 +28,6 @@ def derived_keys(derived: dict[Pair, Assertion]) -> set[tuple[Pair, int]]:
     return {
         (pair, assertion.kind.code) for pair, assertion in derived.items()
     }
-
-
-def closure_oracle(
-    objects: Iterable[ObjectRef],
-    facts: Sequence[Assertion],
-    *,
-    stop_on_conflict: bool = True,
-) -> OracleOutcome:
-    """Drive a fresh network through the facts, one specify at a time.
-
-    With ``stop_on_conflict`` (the default) the first rejected fact ends
-    the run, mirroring the solver's all-or-nothing batch answer; without
-    it, rejected facts are skipped and the rest still commit, which the
-    benchmark uses to count how many contradictions the oracle can see.
-    """
-    counters = AnalysisCounters()
-    network = AssertionNetwork(counters=counters)
-    for ref in objects:
-        network.add_object(ref)
-    outcome = OracleOutcome(
-        network=network, derived={}, feasible={}, propagation_steps=0
-    )
-    for index, fact in enumerate(facts):
-        try:
-            accepted = network.specify(
-                fact.first, fact.second, fact.kind, fact.source, fact.note
-            )
-        except ConflictError as exc:
-            if outcome.conflict is None:
-                outcome.conflict = exc
-                outcome.conflict_index = index
-            if stop_on_conflict:
-                break
-        else:
-            outcome.accepted.append(accepted)
-    outcome.derived = {
-        assertion.pair: assertion
-        for assertion in network.derived_assertions()
-    }
-    outcome.feasible = dict(network.feasible_table())
-    outcome.propagation_steps = counters.propagation_steps
-    return outcome
 
 
 def objects_of(facts: Sequence[Assertion]) -> list[ObjectRef]:

@@ -159,12 +159,13 @@ class AnalysisSession:
     def apply_edit(self, schema_name: str, edit: "SchemaEdit") -> "EditOutcome":
         """Apply one typed schema edit with localized downstream repair.
 
-        The edit enters as a single :class:`Kernel` transaction and is
-        committed as one ``evolution.apply_edit`` event; every downstream
-        layer repairs only what the edit touched:
+        The edit is validated and applied to the schema first: a refused
+        edit raises before anything mutates and never enters the kernel.
+        The repair then runs as a single :class:`Kernel` transaction,
+        committed as one ``evolution.apply_edit`` event (any failure in
+        it rolls the session back by *baseline + replay*); every
+        downstream layer repairs only what the edit touched:
 
-        * the schema itself mutates validate-then-apply (a failed edit is
-          a no-op);
         * the registry applies the precise attribute deltas
           (:meth:`EquivalenceRegistry.evolve_schema`) — renames keep their
           equivalence class, so the cached OCS/ACS views invalidate only
@@ -173,8 +174,6 @@ class AnalysisSession:
           :meth:`AssertionNetwork.remove_object` (retract + support-index
           repair of just the dependent closure); added categories seed
           their implicit containment edges exactly as ``add_schema`` would;
-        * the batch solver re-propagates only the facts on the affected
-          objects, cross-checking the localized repair;
         * when the latest ``session.integrate`` event at the head covers
           the edited schema, the pair is re-integrated with that event's
           pair, name and options once the edit is committed, and the
@@ -196,11 +195,7 @@ class AnalysisSession:
         and the re-integrated result, if any.
         """
         from repro.errors import ConsistencyFailure
-        from repro.evolution.repair import (
-            EditOutcome,
-            RepairScope,
-            scoped_repropagation,
-        )
+        from repro.evolution.repair import EditOutcome, RepairScope
         from repro.kernel.apply import schema_fingerprint
         from repro.kernel.events import NO_CHANGE
         from repro.obs.trace import span
@@ -224,8 +219,8 @@ class AnalysisSession:
                         inverse=NO_CHANGE,
                     )
                 raise ConsistencyFailure(conflict, subject=conflict[0].pair)
+            delta = edit.apply(schema)
             with self.kernel.transaction():
-                delta = edit.apply(schema)
                 added = [
                     AttributeRef(schema_name, obj, attr)
                     for obj, attr in delta.added_refs
@@ -247,6 +242,7 @@ class AnalysisSession:
                     for ref in dropped
                 )
                 retracted: list[Assertion] = []
+                pairs_before = self.counters.closure_pairs_recomputed
                 with self.kernel.bus.replaying():
                     for name in delta.dropped_objects:
                         retracted.extend(
@@ -330,16 +326,9 @@ class AnalysisSession:
                         ],
                         structural=delta.structural,
                     )
-                    affected = [
-                        ObjectRef(schema_name, name)
-                        for name in delta.all_touched()
-                    ]
-                    scoped_repropagation(
-                        self.object_network, affected, scope=scope
-                    )
-                    scoped_repropagation(
-                        self.relationship_network, affected, scope=scope
-                    )
+                scope.pairs_repropagated = (
+                    self.counters.closure_pairs_recomputed - pairs_before
+                )
                 destructive = bool(retracted) or lost_memberships
                 scope.assertions_retracted = len(retracted)
                 scope.registry_classes_touched = (

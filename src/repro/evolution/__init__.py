@@ -34,12 +34,7 @@ from repro.evolution.edits import (
     SetCategoryParents,
     edit_from_payload,
 )
-from repro.evolution.repair import (
-    EditOutcome,
-    RepairScope,
-    affected_facts,
-    scoped_repropagation,
-)
+from repro.evolution.repair import EditOutcome, RepairScope
 
 __all__ = [
     "AddAttribute",
@@ -60,7 +55,5 @@ __all__ = [
     "RetargetRelationship",
     "SchemaEdit",
     "SetCategoryParents",
-    "affected_facts",
     "edit_from_payload",
-    "scoped_repropagation",
 ]

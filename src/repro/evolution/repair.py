@@ -1,4 +1,4 @@
-"""Repair-scope accounting and the scoped solver re-propagation.
+"""Repair-scope accounting for schema edits.
 
 Every applied edit produces a :class:`RepairScope` — the tool's
 "recomputed 14/2,400 OCS cells, 2 clusters, 1 plan" report — by measuring
@@ -6,29 +6,15 @@ exactly what each downstream layer recomputed: the delta of the analysis
 counters around the repair (OCS cells, closure pairs), the assertions the
 network retracted, the clusters of the integrated pair whose membership
 the re-integration changed, and the plans the federation cache dropped.
-
-:func:`scoped_repropagation` is the solver-side verification step: after a
-destructive edit's localized network repair, the batch engine
-(:func:`repro.solver.engine.propagate`) closes only the facts that involve
-the affected objects, from scratch on a throwaway network.  Retraction only
-loosens constraints and fresh structures arrive unconstrained, so this can
-never fail on a well-formed repair — it is the cheap check that the
-neighborhood the incremental repair kept is consistent on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
-
-from repro.ecr.schema import ObjectRef
-from repro.errors import ConsistencyFailure
-from repro.obs.trace import span
-from repro.solver.engine import Propagation, propagate
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.assertions.assertion import Assertion
-    from repro.assertions.network import AssertionNetwork
     from repro.evolution.edits import SchemaEdit
     from repro.integration.result import IntegrationResult
 
@@ -43,8 +29,8 @@ class RepairScope:
     ocs_cells_total: int = 0
     registry_classes_touched: int = 0
     assertions_retracted: int = 0
+    #: closure pairs the localized network repair reset and re-derived
     pairs_repropagated: int = 0
-    solver_steps: int = 0
     clusters_changed: int = 0
     clusters_total: int = 0
     plans_invalidated: int = 0
@@ -80,7 +66,6 @@ class RepairScope:
             "registry_classes_touched": self.registry_classes_touched,
             "assertions_retracted": self.assertions_retracted,
             "pairs_repropagated": self.pairs_repropagated,
-            "solver_steps": self.solver_steps,
             "clusters_changed": self.clusters_changed,
             "clusters_total": self.clusters_total,
             "plans_invalidated": self.plans_invalidated,
@@ -121,54 +106,4 @@ class EditOutcome:
         }
 
 
-def affected_facts(
-    network: "AssertionNetwork", objects: Iterable[ObjectRef]
-) -> list["Assertion"]:
-    """The specified assertions that involve any of the given objects."""
-    wanted = set(objects)
-    return [
-        assertion
-        for assertion in network.specified_assertions()
-        if assertion.pair[0] in wanted or assertion.pair[1] in wanted
-    ]
-
-
-def scoped_repropagation(
-    network: "AssertionNetwork",
-    objects: Iterable[ObjectRef],
-    *,
-    scope: RepairScope | None = None,
-) -> Propagation:
-    """Re-run the batch engine over only the affected pairs' facts.
-
-    Raises
-    ------
-    ConsistencyFailure
-        If the affected neighborhood is inconsistent.  Unreachable after
-        a well-formed localized repair (retraction only loosens), so a
-        raise here means the repair itself is broken.
-    """
-    facts = affected_facts(network, objects)
-    with span(
-        "evolution.repair.solver",
-        counters=network.counters,
-        facts=len(facts),
-    ):
-        outcome = propagate(facts, counters=network.counters)
-    if scope is not None:
-        scope.pairs_repropagated += len(outcome.domains)
-        scope.solver_steps += outcome.steps
-    if outcome.culprit is not None:  # pragma: no cover - repair invariant
-        from repro.solver.explain import minimal_conflict
-
-        conflict = minimal_conflict(facts, counters=network.counters)
-        raise ConsistencyFailure(conflict, subject=outcome.culprit)
-    return outcome
-
-
-__all__ = [
-    "EditOutcome",
-    "RepairScope",
-    "affected_facts",
-    "scoped_repropagation",
-]
+__all__ = ["EditOutcome", "RepairScope"]

@@ -47,7 +47,7 @@ def canonical_assertions(assertions: list[Assertion]) -> list[Assertion]:
 
     Specification order varies with the DDA's path through a sitting and
     is deliberately dropped by the canonical state payload (the kernel's
-    baseline, a rollback's entry state), so a session rebuilt from one
+    baseline, an audit snapshot), so a session rebuilt from one
     re-specifies in sorted order.
     Integration output must be identical either way — every pass over a
     network iterates its :func:`connecting_assertions` in this order.

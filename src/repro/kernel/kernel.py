@@ -10,13 +10,13 @@ book-keeping that turns a flat event log into a session's history:
   (branching history is linear, like an editor's undo stack).
 * **transactions** — :meth:`transaction` makes a multi-mutation block
   all-or-nothing: on an exception the events committed inside are
-  dropped from the log and the session is rebuilt from the state it
-  entered with.
+  dropped from the log and the session is rebuilt at the offset it
+  entered at, by the same *baseline + replay* as :meth:`checkout`.
 * **one snapshot** — the :class:`~repro.kernel.snapshots.Snapshot` at
   the baseline: empty for a fresh log, or the session state that
   :meth:`set_baseline` recorded after a legacy restore.  :meth:`checkout`
   restores any offset by *baseline + replay*, and so do restore,
-  rehydration, replica reads and the undo fallback.
+  rehydration, replica reads, the undo fallback and a rollback.
 * **undo/redo** — group-wise time travel: :meth:`undo` reverts the most
   recent effectful transaction (skipping no-op groups such as recorded
   conflicts), :meth:`redo` re-applies up to the next effectful one.
@@ -247,9 +247,10 @@ class Kernel:
 
         On an exception, history is cut back to the entry offset (only
         when the block published: otherwise events past it are a redo
-        tail that is not ours to drop), the session is rebuilt from its
-        entry state if anything changed, and the exception propagates.
-        Nested transactions join the outermost one (a rollback is total).
+        tail that is not ours to drop), the session is rebuilt at that
+        offset by *baseline + replay*, exactly as :meth:`checkout` does,
+        and the exception propagates.  Nested transactions join the
+        outermost one (a rollback is total).
         """
         with self.bus.lock:
             if self.bus.replaying_now or self.bus.active_txn is not None:
@@ -257,23 +258,16 @@ class Kernel:
                     yield txn
                 return
             start = self._head
-            entry_state = self._require_session().state_payload()
             entry_publishes = self._live_publishes
             try:
                 with self.bus.grouped() as txn:
                     yield txn
             except BaseException:
                 self._wal_discard()
-                published = self._live_publishes > entry_publishes
-                if published:
+                if self._live_publishes > entry_publishes:
                     self._truncate(start)
-                self._head = start
-                if (
-                    published
-                    or self._require_session().state_payload() != entry_state
-                ):
-                    self._rebuild_state(entry_state)
-                    self._resnapshot_audit()
+                self._rebuild_at(start)
+                self._resnapshot_audit()
                 raise
             else:
                 self._wal_commit()
@@ -313,21 +307,12 @@ class Kernel:
         truncates them.
         """
         with self.bus.lock:
-            base = self._base
-            if offset < base.offset or offset > self.bus.offset:
+            if offset < self._base.offset or offset > self.bus.offset:
                 raise KernelError(
                     f"offset {offset} outside "
-                    f"[{base.offset}, {self.bus.offset}]"
+                    f"[{self._base.offset}, {self.bus.offset}]"
                 )
-            if base.offset > 0 and not base.state:
-                raise KernelError(
-                    f"no snapshot covers offset {offset} "
-                    f"(baseline {base.offset})"
-                )
-            self._rebuild_state(base.state)
-            self._head = base.offset
-            for event in self.bus.events(base.offset, offset):
-                self._replay_one(event)
+            self._rebuild_at(offset)
             self._resnapshot_audit()
             self._wal_record_head()
 
@@ -452,19 +437,33 @@ class Kernel:
         view = _CommandView(Command(scope, action, dict(payload)))
         apply_event(self._require_session(), view, self._strict_diverge)
 
-    def _rebuild_state(self, state: dict[str, Any]) -> None:
+    def _rebuild_at(self, offset: int) -> None:
+        """Rebuild the session at ``offset``: baseline, then replay.
+
+        The one way back shared by :meth:`checkout` and a transaction's
+        rollback; it journals nothing.
+        """
+        base = self._base
+        if base.offset > 0 and not base.state:
+            raise KernelError(
+                f"no snapshot covers offset {offset} "
+                f"(baseline {base.offset})"
+            )
         session = self._require_session()
         with self.bus.replaying():
             session.reset_to([])
-            if state:
+            if base.state:
                 apply_state(
                     session,
-                    state,
+                    base.state,
                     on_error=lambda message: self._strict_diverge(
                         _CommandView(Command("session", "snapshot", {})),
                         message,
                     ),
                 )
+        self._head = base.offset
+        for event in self.bus.events(base.offset, offset):
+            self._replay_one(event)
 
     def _resnapshot_audit(self) -> None:
         """Re-anchor an attached audit log after time travel.

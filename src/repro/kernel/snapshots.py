@@ -5,9 +5,8 @@ replayable state payload at that offset (the same ``schemas`` /
 ``equivalences`` / ``assertions`` shape the audit log's
 ``session.snapshot`` events carry).  A kernel keeps one, at its
 baseline: restoring any offset is *baseline + replay of the log* — the
-kernel's ``checkout``, persistence-restore and undo fallback all start
-with :func:`apply_state` on it.  A failed transaction rebuilds its entry
-state through :func:`apply_state` too.
+kernel's ``checkout``, persistence-restore, undo fallback and a failed
+transaction's rollback all start with :func:`apply_state` on it.
 """
 
 from __future__ import annotations

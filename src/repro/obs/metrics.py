@@ -317,7 +317,7 @@ class AnalysisCounters:
     evolution_edits_rejected: int = 0
     #: specified assertions retracted by destructive edits' repairs
     evolution_assertions_retracted: int = 0
-    #: pairs re-propagated by the scoped post-edit solver check
+    #: closure pairs reset and re-derived by edits' network repairs
     evolution_pairs_repropagated: int = 0
     #: clusters whose membership an edit's re-integration changed
     evolution_clusters_rebuilt: int = 0

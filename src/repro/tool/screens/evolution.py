@@ -7,8 +7,8 @@ paper's DDA discovers missing attributes and misplaced relationships
 through :meth:`ToolSession.apply_edit
 <repro.tool.session.ToolSession.apply_edit>` and reports exactly how far
 the localized repair reached: OCS cells recomputed, assertions
-retracted, solver pairs re-propagated, clusters and merge groups
-rebuilt, federation plans invalidated.
+retracted, closure pairs re-propagated, clusters changed by the
+re-integration, federation plans invalidated.
 """
 
 from __future__ import annotations

@@ -151,8 +151,8 @@ class ToolSession:
         The edit enters the kernel through
         :meth:`AnalysisSession.apply_edit
         <repro.equivalence.session.AnalysisSession.apply_edit>` (registry,
-        OCS/ACS views, assertion networks, scoped solver re-propagation,
-        re-integration of the integrated pair); this layer then picks up
+        OCS/ACS views, assertion networks, re-integration of the
+        integrated pair); this layer then picks up
         the re-integrated result and refreshes the federation mappings in
         place, while the planner's registry subscription drops only the
         plans whose legs touch the edited schema.  The returned

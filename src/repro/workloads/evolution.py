@@ -5,8 +5,8 @@ reproducible sequence of typed :class:`~repro.evolution.SchemaEdit`\\ s
 against a live analysis session, with a controllable fraction of edits
 guaranteed to be *invalidating* — cascade drops of object classes that
 carry specified assertions, so the repair pipeline has to retract facts,
-re-propagate the solver and rebuild clusters rather than just touch the
-registry.
+re-derive their dependent closure and rebuild clusters rather than just
+touch the registry.
 
 Scripts are generated lazily against the session's current state (each
 step sees the names the previous steps created or destroyed), so the

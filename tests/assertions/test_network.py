@@ -460,7 +460,8 @@ def closure_scripts(draw):
 def test_closure_matches_the_naive_fixpoint_after_every_step(drawn):
     """After every specify/respecify/retract/remove/re-add, the feasible
     table and the derived assertions equal a naive all-triangles fixpoint
-    over the specified assertions."""
+    over the specified assertions, and a removed node leaves no residue:
+    no constrained row or column entry and no support that names it."""
     from repro.baselines import naive_closure
 
     world, script = drawn
@@ -484,6 +485,16 @@ def test_closure_matches_the_naive_fixpoint_after_every_step(drawn):
                 network.add_object(refs[i])
         except (AssertionSpecError, ConflictError):
             pass
+        if verb == "remove":
+            node = network._ids[refs[i]]
+            rows = network._rows
+            assert all(rows[node][other] == ALL_MASK for other in range(len(rows)))
+            assert all(row[node] == ALL_MASK for row in rows)
+            assert not any(node in key for key in network._supports)
+            assert not any(node in support for support in network._supports.values())
+            for key, supports in network._support_index.items():
+                assert node not in key
+                assert not any(node in support for support in supports)
         closure = naive_closure(network.objects(), network.specified_assertions())
         assert closure is not None
         table, derived = closure

@@ -213,8 +213,8 @@ def test_snapshot_restore_is_insensitive_to_assertion_order():
 def test_rollback_rebuild_is_insensitive_to_assertion_order():
     """The same case through a published-then-failed transaction.
 
-    The rollback rebuilds the entry state through ``apply_state`` (sorted
-    re-specify); the integrate after it must produce the schema a session
+    The rollback rebuilds the session at its entry offset by baseline +
+    replay; the integrate after it must produce the schema a session
     that never rolled back produces, and reload to the live state.
     """
     from repro.ecr.json_io import schema_to_dict

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro.ecr.attributes import Attribute
+from repro.ecr.domains import Domain, DomainKind
 from repro.equivalence.session import AnalysisSession
+from repro.errors import DuplicateNameError
+from repro.evolution import AddAttribute
 from repro.kernel import wal as wal_module
 from repro.kernel.wal import scan_records
 from repro.tool.session import ToolSession
@@ -77,7 +81,7 @@ class TestRollback:
 
     def test_rollback_covers_non_invertible_events(self, session):
         # an integrate event records no inverse; the rollback rebuilds
-        # the session from the entry state and drops the cached result
+        # the session at the entry offset and drops the cached result
         kernel = session.kernel
         session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
         before_offset = kernel.bus.offset
@@ -202,9 +206,9 @@ class TestRollbackAndSnapshots:
         assert len(records[-1]["events"]) == 2
 
     def test_undo_after_a_published_rollback(self, session):
-        # the rollback rebuilds from the entry state, which renumbers the
-        # equivalence classes (the added attribute moves up); undoing the
-        # declaration before it must still restore the exact memberships
+        # the rollback rebuilds the session by baseline + replay, which
+        # restores the equivalence classes with their numbers; undoing
+        # the declaration before it must restore the exact memberships
         from repro.evolution import edit_from_payload
 
         kernel = session.kernel
@@ -221,3 +225,88 @@ class TestRollbackAndSnapshots:
         assert state_key(session) == declared
         assert kernel.undo()
         assert session.registry.nontrivial_classes() == []
+
+
+#: the Screen 7 declarations of the paper's sitting
+PAPER_DECLARATIONS = [
+    ("sc1.Student.Name", "sc2.Grad_student.Name"),
+    ("sc1.Student.Name", "sc2.Faculty.Name"),
+    ("sc1.Student.GPA", "sc2.Grad_student.GPA"),
+    ("sc1.Department.Name", "sc2.Department.Name"),
+    ("sc1.Majors.Since", "sc2.Majors.Since"),
+]
+
+
+def class_numbers(session: AnalysisSession) -> dict[str, int]:
+    """Every attribute's Screen 7 ``Eq_class #``."""
+    numbers = {}
+    for schema in session.schemas():
+        for structure in schema:
+            for attribute in structure.attributes:
+                ref = f"{schema.name}.{structure.name}.{attribute.name}"
+                numbers[ref] = session.registry.class_number(ref)
+    return numbers
+
+
+def add_integer(owner: str, name: str) -> AddAttribute:
+    return AddAttribute(owner, Attribute(name, Domain(DomainKind.INTEGER)))
+
+
+class TestEditRollback:
+    @pytest.fixture
+    def sitting(self, session):
+        from repro.workloads.university import PAPER_ASSERTION_CODES
+
+        # an attribute added by an edit is numbered after the schema's own
+        session.apply_edit("sc1", add_integer("Student", "Age"))
+        for first, second in PAPER_DECLARATIONS:
+            session.declare_equivalent(first, second)
+        for first, second, code in PAPER_ASSERTION_CODES:
+            session.specify(first, second, code)
+        # a redo tail: one more declaration, undone
+        session.declare_equivalent("sc1.Student.GPA", "sc1.Department.Name")
+        assert session.kernel.undo()
+        return session
+
+    def test_a_failed_edit_rolls_back_exactly(self, sitting, monkeypatch):
+        kernel = sitting.kernel
+        head, end = kernel.head, kernel.bus.offset
+        assert end > head
+        before = state_key(sitting)
+        numbers = class_numbers(sitting)
+        registry = sitting.registry
+        evolve = registry.evolve_schema
+
+        def evolve_then_fail(*args, **kwargs):
+            evolve(*args, **kwargs)
+            raise Boom()
+
+        monkeypatch.setattr(registry, "evolve_schema", evolve_then_fail)
+        with pytest.raises(Boom):
+            sitting.apply_edit("sc1", add_integer("Department", "Budget"))
+        assert state_key(sitting) == before
+        assert class_numbers(sitting) == numbers
+        assert (kernel.head, kernel.bus.offset) == (head, end)
+        # the redo tail survived the rollback
+        assert kernel.redo()
+        assert sitting.registry.are_equivalent(
+            "sc1.Student.GPA", "sc1.Department.Name"
+        )
+
+    def test_a_refused_edit_is_free(self, sitting):
+        kernel = sitting.kernel
+        head, end = kernel.head, kernel.bus.offset
+        events = kernel.bus.events()
+        network = sitting.object_network
+        before = state_key(sitting)
+        with pytest.raises(DuplicateNameError):
+            sitting.apply_edit(
+                "sc1",
+                AddAttribute(
+                    "Student", Attribute("Name", Domain(DomainKind.CHAR))
+                ),
+            )
+        assert (kernel.head, kernel.bus.offset) == (head, end)
+        assert kernel.bus.events() == events
+        assert sitting.object_network is network
+        assert state_key(sitting) == before

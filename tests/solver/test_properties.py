@@ -1,14 +1,15 @@
-"""Property tests: the batch solver against the incremental-closure oracle.
+"""Property tests: the batch solver against the independent naive fixpoint.
 
 Three properties pin the subsystem's contract:
 
 * on conflict-free generated workloads the solver's fixpoint (derived
-  assertions *and* narrowed feasible sets) equals what the network
-  derives incrementally — same monotone revision operator, same unique
-  fixpoint;
+  assertions *and* narrowed feasible sets) equals the naive
+  all-triangles fixpoint (:func:`~repro.baselines.naive_closure`) — the
+  unique fixpoint the network must derive incrementally too;
 * on conflict-seeded workloads every planted contradiction is caught,
-  and the minimal conflict sets the solver reports really are both
-  sufficient and minimal (``verify_conflict`` re-checks both halves);
+  the naive fixpoint empties a pair on the same input, and the minimal
+  conflict sets the solver reports really are both sufficient and
+  minimal (``verify_conflict`` re-checks both halves);
 * on random small fact lists, same-pair clashes included, the batch
   engine agrees with the independent naive fixpoint
   (:func:`~repro.baselines.naive_closure`), which shares no code with the
@@ -20,12 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.assertions.assertion import Assertion
 from repro.assertions.kinds import AssertionKind
-from repro.baselines import (
-    closure_oracle,
-    derived_keys,
-    naive_closure,
-    objects_of,
-)
+from repro.baselines import derived_keys, naive_closure, objects_of
 from repro.ecr.schema import ObjectRef
 from repro.errors import ConsistencyFailure
 from repro.solver import (
@@ -61,12 +57,11 @@ def test_solver_fixpoint_equals_incremental_closure(config):
     if not facts:
         return  # overlap rounded to zero shared concepts: nothing to say
     solution = ConstraintSolver(facts).solve()
-    oracle = closure_oracle(objects_of(facts), facts)
-    assert oracle.consistent
-    assert derived_keys(
-        {a.pair: a for a in solution.derived}
-    ) == derived_keys(oracle.derived)
-    assert solution.feasible == oracle.feasible
+    naive = naive_closure(objects_of(facts), facts)
+    assert naive is not None
+    table, derived = naive
+    assert derived_keys({a.pair: a for a in solution.derived}) == derived
+    assert solution.feasible == table
 
 
 @settings(max_examples=15, deadline=None)
@@ -91,9 +86,8 @@ def test_planted_contradictions_are_caught_with_minimal_sets(
             solver.solve()
         conflict = exc.value.conflict
         assert verify_conflict(conflict)
-        # the oracle agrees something is wrong on the same input
-        oracle = closure_oracle(objects_of(facts), facts)
-        assert not oracle.consistent
+        # the naive fixpoint agrees something is wrong on the same input
+        assert naive_closure(objects_of(facts), facts) is None
 
 
 @settings(max_examples=15, deadline=None)
