@@ -768,8 +768,8 @@ class AnalysisSession:
     ):
         """Ranked, trial-propagated EQUALS candidates (the Screen 10 list).
 
-        Each suggestion is labelled ``safe`` or ``conflicting`` by the
-        batch solver; see
+        Each suggestion is labelled ``safe`` or ``conflicting`` by a
+        rolled-back trial on the object or relationship network; see
         :func:`repro.solver.suggest_equivalence_assertions`.
         """
         from repro.solver.suggest import suggest_equivalence_assertions

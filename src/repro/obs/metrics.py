@@ -303,9 +303,10 @@ class AnalysisCounters:
     closure_pairs_recomputed: int = 0
     #: full solver propagation runs (solve/trial/explain re-propagations)
     solver_runs: int = 0
-    #: closure-kernel propagation steps of the solver's batch runs
+    #: closure-kernel propagation steps of the solver's batch runs and
+    #: of rolled-back what-if trials on a live network
     solver_propagation_steps: int = 0
-    #: from-scratch consistency checks (QuickXplain probes, trials)
+    #: from-scratch consistency checks (QuickXplain probes, ``check``)
     solver_consistency_checks: int = 0
     #: minimal conflict sets computed by QuickXplain
     solver_conflicts_minimized: int = 0

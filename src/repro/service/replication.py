@@ -283,6 +283,13 @@ class ReplicaSessionManager:
     def require(self, tenant: str, session_id: str) -> None:
         self._applier(tenant, session_id)
 
+    def info(self, tenant: str, session_id: str) -> SessionInfo:
+        """The session's row of :meth:`sessions`."""
+        self._applier(tenant, session_id)
+        return SessionInfo(
+            session_id=session_id, resident=True, pinned=False, approx_bytes=0
+        )
+
     def sessions(self, tenant: str) -> list[SessionInfo]:
         require_safe_name("tenant", tenant)
         rows = []

@@ -399,11 +399,7 @@ def get_sessions(ctx: Context) -> dict[str, Any]:
 def get_session(ctx: Context) -> dict[str, Any]:
     sid = ctx.params["sid"]
     with ctx.manager.acquire(ctx.tenant, sid) as session:
-        infos = {
-            info.session_id: info
-            for info in ctx.manager.sessions(ctx.tenant)
-        }
-        return session_detail(session, infos[sid])
+        return session_detail(session, ctx.manager.info(ctx.tenant, sid))
 
 
 def delete_session(ctx: Context) -> dict[str, Any]:

@@ -6,12 +6,13 @@ consistency, run on the network's own closure kernel, in three pieces:
 * :mod:`repro.solver.engine` — a fact list closed in one batch-seeded
   run of :class:`~repro.assertions.network.AssertionNetwork`'s
   path-consistency loop on a throwaway network (:func:`propagate`,
-  :class:`ConstraintSolver`, :func:`explain_assertion`);
+  :class:`ConstraintSolver`), and what-if explanations answered by a
+  rolled-back trial on the live network (:func:`explain_assertion`);
 * :mod:`repro.solver.explain` — QuickXplain minimal conflict sets: which
   of the committed facts to retract when propagation finds a
   contradiction (:func:`minimal_conflict`, :func:`verify_conflict`);
-* :mod:`repro.solver.suggest` — ranked, trial-propagated equivalence
-  suggestions (:func:`suggest_equivalence_assertions`).
+* :mod:`repro.solver.suggest` — ranked equivalence suggestions, each
+  labelled by a trial on the live network (:func:`suggest_equivalence_assertions`).
 
 On conflict-free inputs the solver's derived-assertion set provably
 equals the network's incremental closure (see ``tests/solver``); on

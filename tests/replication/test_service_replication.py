@@ -72,6 +72,14 @@ class TestReplicaReads:
         assert status == 404
         assert payload["error"]["code"] == "session_not_found"
 
+    def test_replica_info_is_the_listing_row(
+        self, seeded_leader, replica_app
+    ):
+        sync(replica_app)
+        manager = replica_app.manager
+        (row,) = manager.sessions("acme")
+        assert manager.info("acme", "s1") == row
+
     def test_replica_stats_reflect_appliers(
         self, seeded_leader, replica, replica_app
     ):

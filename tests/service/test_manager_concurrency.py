@@ -244,3 +244,25 @@ class TestErrors:
         manager.evict("acme", "s1")
         with pytest.raises(SessionExistsError):
             manager.create("acme", "s1")
+
+
+class TestInfo:
+    def test_info_is_the_listing_row(self, tmp_path):
+        manager = SessionManager(tmp_path)
+        manager.create("acme", "s1")
+        manager.create("acme", "s2")
+        manager.evict("acme", "s2")
+        fresh = SessionManager(tmp_path)  # s1 and s2 parked on disk only
+        for view in (manager, fresh):
+            for info in view.sessions("acme"):
+                assert view.info("acme", info.session_id) == info
+        with manager.acquire("acme", "s1"):
+            assert manager.info("acme", "s1") == next(
+                info for info in manager.sessions("acme")
+                if info.session_id == "s1"
+            )
+
+    def test_info_on_an_unknown_session(self, tmp_path):
+        manager = SessionManager(tmp_path)
+        with pytest.raises(UnknownSessionError):
+            manager.info("acme", "ghost")
