@@ -81,7 +81,7 @@ smoke:
 
 ## The runs a performance change quotes (perfbench/README.md): each
 ## gated workload untraced at seed 1 and at the held-out seed 7919, then
-## a traced seed-1 sitting for the per-layer figures and exact counts.
+## a traced seed-1 run of each for the per-layer figures and exact counts.
 PERF_SEEDS := 1 7919
 PERF_WORKLOADS := sitting service_hot
 PERF_SECONDS := 12
@@ -93,8 +93,10 @@ perf:
 				--seconds $(PERF_SECONDS) --trace 0 || exit 1; \
 		done; \
 	done
-	$(PYTHON) perfbench/run.py --workload sitting --seed 1 \
-		--seconds $(PERF_SECONDS) --trace 1
+	@for workload in $(PERF_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds $(PERF_SECONDS) --trace 1 || exit 1; \
+	done
 
 ## Run the integration service locally (demo token demo:demo-token).
 serve:

@@ -88,6 +88,7 @@ class AnalysisSession:
                 "pass either schemas or a pre-built registry, not both"
             )
         self.counters = counters if counters is not None else AnalysisCounters()
+        prebuilt = kernel is None and registry is not None
         if kernel is None:
             # a pre-built registry brings its own bus (and its event
             # pre-history); otherwise the kernel creates a fresh one
@@ -121,6 +122,10 @@ class AnalysisSession:
             self.attach_audit(audit)
         for schema in schemas:
             self.add_schema(schema)
+        if prebuilt:
+            # no replay from an empty session reaches the state the
+            # pre-built components hold: time travel starts from it
+            kernel.set_baseline()
 
     def _bind_emitters(self) -> None:
         """Give both networks their scoped handles on the kernel bus."""

@@ -24,6 +24,11 @@ book-keeping that turns a flat event log into a session's history:
   the log + baseline through the data dictionary; restoring a session
   is ``Kernel.restore(...)`` followed by :meth:`checkout` of the saved
   head.
+* **a read memo** — :meth:`read_at_head` remembers the answer to a
+  read of the session state by the head it was computed at, for at
+  most :data:`READ_MEMO_HEADS` heads.  Like an integration result, a
+  read is a function of the log up to its offset, so cutting the log
+  cuts both.
 
 All write operations run under the bus lock, so two sessions sharing a
 kernel interleave at transaction granularity — the single-writer
@@ -32,8 +37,9 @@ discipline the concurrency stress test exercises.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, TypeVar
 
 from repro.errors import KernelError, ReplayError
 from repro.kernel.apply import apply_event, event_label
@@ -45,6 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.equivalence.session import AnalysisSession
     from repro.integration.result import IntegrationResult
     from repro.kernel.wal import WriteAheadLog
+
+T = TypeVar("T")
+
+#: how many heads :meth:`Kernel.read_at_head` keeps answers for
+READ_MEMO_HEADS = 4
+#: how many distinct reads it keeps at one head
+READ_MEMO_KEYS = 16
 
 
 class _CommandView:
@@ -90,6 +103,15 @@ class Kernel:
         #: integration results by the offset of their ``session.integrate``
         #: event — lets the tool resync its displayed result after time travel
         self._results_by_offset: "dict[int, IntegrationResult]" = {}
+        #: ``_results_by_offset``'s keys, and the offsets of the
+        #: ``session.integrate`` events of the log up to ``_indexed``, in
+        #: log order — the head's integration is a bisection, not a walk
+        self._result_offsets: list[int] = []
+        self._integrates: list[int] = []
+        self._indexed = 0
+        #: answers to reads of the session state by the head they were
+        #: computed at (see :meth:`read_at_head`), oldest head first
+        self._reads: dict[int, dict[Hashable, Any]] = {}
         #: the logged event :meth:`_replay_one` is re-applying, if any
         self._replaying: Event | None = None
         #: the attached write-ahead log (see :meth:`attach_wal`), plus the
@@ -133,6 +155,8 @@ class Kernel:
             self._base = Snapshot(
                 self._head, self._require_session().state_payload()
             )
+            # the state at the head was set without an event
+            self._reads = {}
 
     def _require_session(self) -> "AnalysisSession":
         if self.session is None:
@@ -142,12 +166,18 @@ class Kernel:
     # -- live-publish hooks ------------------------------------------------------
 
     def _truncate(self, offset: int) -> None:
-        """Cut history at ``offset``: events and cached results."""
+        """Cut history at ``offset``: events, cached results and reads."""
         self.bus.truncate(offset)
         self._results_by_offset = {
             at: result
             for at, result in self._results_by_offset.items()
             if at <= offset
+        }
+        for offsets in (self._result_offsets, self._integrates):
+            del offsets[bisect_right(offsets, offset):]
+        self._indexed = min(self._indexed, offset)
+        self._reads = {
+            at: answers for at, answers in self._reads.items() if at <= offset
         }
 
     def _before_live_publish(self) -> None:
@@ -429,7 +459,7 @@ class Kernel:
         finally:
             self._replaying = None
         if results:
-            self._results_by_offset[event.offset] = results[-1]
+            self.record_result(event.offset, results[-1])
         self._head = event.offset
 
     def _apply_inverse(self, inverse: object) -> None:
@@ -476,14 +506,26 @@ class Kernel:
         if session is not None:
             session.resnapshot_audit()
 
+    def _index_log(self) -> None:
+        """Note the ``session.integrate`` events appended since last time."""
+        for event in self.bus.events(self._indexed):
+            if event.scope == "session" and event.action == "integrate":
+                self._integrates.append(event.offset)
+        self._indexed = self.bus.offset
+
+    def _latest_integrate(self) -> int | None:
+        """The offset of the latest integrate event in (baseline, head]."""
+        self._index_log()
+        at = bisect_right(self._integrates, self._head)
+        if at and self._integrates[at - 1] > self._base.offset:
+            return self._integrates[at - 1]
+        return None
+
     def integration_at_head(self) -> Event | None:
         """The latest ``session.integrate`` event at or before the head."""
         with self.bus.lock:
-            for offset in range(self._head, self._base.offset, -1):
-                event = self.bus.event_at(offset)
-                if event.scope == "session" and event.action == "integrate":
-                    return event
-            return None
+            offset = self._latest_integrate()
+            return None if offset is None else self.bus.event_at(offset)
 
     def result_at_head(self) -> "IntegrationResult | None":
         """The latest integration result at or before the head.
@@ -494,15 +536,48 @@ class Kernel:
         re-integration failed) falls through to the result before it.
         """
         with self.bus.lock:
-            for offset in range(self._head, self._base.offset, -1):
-                event = self.bus.event_at(offset)
-                if event.scope == "session" and event.action == "integrate":
-                    return self._results_by_offset.get(offset)
-                if event.scope == "evolution" and event.action == "apply_edit":
-                    reintegrated = self._results_by_offset.get(offset)
-                    if reintegrated is not None:
-                        return reintegrated
-            return None
+            integrated = self._latest_integrate()
+            floor = self._base.offset if integrated is None else integrated
+            # only integrate and edit events record results, so one past
+            # the latest integrate is an edit's
+            offsets = self._result_offsets
+            at = bisect_right(offsets, self._head)
+            if at and offsets[at - 1] > floor:
+                return self._results_by_offset[offsets[at - 1]]
+            if integrated is None:
+                return None
+            return self._results_by_offset.get(integrated)
+
+    def read_at_head(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, remembered under ``key`` at the current head.
+
+        ``compute`` must read the session state and nothing else.  The
+        answer is kept for the head it was computed at: the state there
+        is a function of the log up to the head, so it holds until
+        :meth:`_truncate` cuts the log below it.  Only the last
+        :data:`READ_MEMO_HEADS` heads keep answers, at most
+        :data:`READ_MEMO_KEYS` each.  Inside an open group or
+        transaction, or under replay, the state may be ahead of the
+        head, so the memo is neither read nor filled there.
+        """
+        with self.bus.lock:
+            if self.bus.active_txn is not None or self.bus.replaying_now:
+                return compute()
+            head = self._head
+            answers = self._reads.get(head)
+            if answers is not None and key in answers:
+                return answers[key]
+            value = compute()
+            if self._head != head:
+                return value
+            if answers is None:
+                if len(self._reads) >= READ_MEMO_HEADS:
+                    del self._reads[next(iter(self._reads))]
+                answers = self._reads[head] = {}
+            elif len(answers) >= READ_MEMO_KEYS:
+                del answers[next(iter(answers))]
+            answers[key] = value
+            return value
 
     def wants_result(self, event: Event) -> bool:
         """Whether the edit that just published ``event`` should re-integrate.
@@ -522,7 +597,9 @@ class Kernel:
         )
 
     def record_result(self, offset: int, result: "IntegrationResult") -> None:
-        """Remember the result a live integrate or edit event produced."""
+        """Remember the result an integrate or edit event produced."""
+        if offset not in self._results_by_offset:
+            insort(self._result_offsets, offset)
         self._results_by_offset[offset] = result
 
     # -- persistence -------------------------------------------------------------

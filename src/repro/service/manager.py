@@ -138,6 +138,9 @@ class SessionManager:
         self.max_sessions_per_tenant = max_sessions_per_tenant
         self._mutex = threading.Lock()
         self._records: dict[tuple[str, str], _Record] = {}
+        #: per tenant, the ids :meth:`sessions` lists — records plus the
+        #: checkpoints on disk, globbed once when the tenant is first seen
+        self._tenant_ids: dict[str, set[str]] = {}
         self._use_counter = 0
         self.evictions = 0
         self.rehydrations = 0
@@ -157,6 +160,17 @@ class SessionManager:
         self._use_counter += 1
         record.last_used = self._use_counter
 
+    def _owned(self, tenant: str) -> set[str]:
+        """The tenant's session ids.  Caller holds ``_mutex``."""
+        owned = self._tenant_ids.get(tenant)
+        if owned is None:
+            owned = {sid for t, sid in self._records if t == tenant}
+            tenant_dir = self.tenant_dir(tenant)
+            if tenant_dir.exists():
+                owned.update(entry.stem for entry in tenant_dir.glob("*.json"))
+            self._tenant_ids[tenant] = owned
+        return owned
+
     def _get_record(
         self, tenant: str, session_id: str, *, create: bool
     ) -> _Record:
@@ -173,23 +187,18 @@ class SessionManager:
                 )
                 if not on_disk and not create:
                     raise UnknownSessionError(session_id)
-                if not on_disk and create:
-                    owned = {
-                        sid for t, sid in self._records if t == tenant
-                    }
-                    tenant_dir = self.tenant_dir(tenant)
-                    if tenant_dir.exists():
-                        owned.update(
-                            entry.stem
-                            for entry in tenant_dir.glob("*.json")
-                        )
-                    if len(owned) >= self.max_sessions_per_tenant:
-                        raise CapacityError(
-                            f"tenant {tenant!r} reached its session quota "
-                            f"({self.max_sessions_per_tenant})"
-                        )
+                owned = self._owned(tenant)
+                if (
+                    not on_disk
+                    and len(owned) >= self.max_sessions_per_tenant
+                ):
+                    raise CapacityError(
+                        f"tenant {tenant!r} reached its session quota "
+                        f"({self.max_sessions_per_tenant})"
+                    )
                 record = _Record(tenant=tenant, session_id=session_id)
                 self._records[key] = record
+                owned.add(session_id)
             self._touch(record)
             return record
 
@@ -308,6 +317,7 @@ class SessionManager:
                         f"session {session_id!r} is pinned by a background job"
                     )
                 self._records.pop((tenant, session_id), None)
+                self._owned(tenant).discard(session_id)
             record.session = None
             path = self.save_path(tenant, session_id)
             path.unlink(missing_ok=True)
@@ -519,6 +529,13 @@ class SessionManager:
                         approx_bytes=0,
                     )
         return [known[name] for name in sorted(known)]
+
+    def session_count(self, tenant: str) -> int:
+        """``len(self.sessions(tenant))``, without listing the tenant
+        directory."""
+        require_safe_name("tenant", tenant)
+        with self._mutex:
+            return len(self._owned(tenant))
 
     def replication_inventory(self) -> list[dict[str, Any]]:
         """Every session a follower must replicate, across all tenants.

@@ -308,6 +308,9 @@ class ReplicaSessionManager:
             )
         return rows
 
+    def session_count(self, tenant: str) -> int:
+        return len(self.sessions(tenant))
+
     def fingerprint(self, tenant: str, session_id: str) -> str:
         with self.acquire(tenant, session_id) as session:
             return state_fingerprint(session)

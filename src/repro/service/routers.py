@@ -171,6 +171,13 @@ def assertion_wire(assertion, relationships: bool) -> dict[str, Any]:
     }
 
 
+def head_fingerprint(session) -> str:
+    """:func:`state_fingerprint`, computed once per kernel head."""
+    return session.analysis.kernel.read_at_head(
+        "state_fingerprint", lambda: state_fingerprint(session)
+    )
+
+
 def session_detail(session, info) -> dict[str, Any]:
     kernel = session.analysis.kernel
     return {
@@ -190,7 +197,7 @@ def session_detail(session, info) -> dict[str, Any]:
         "integrated": (
             session.result.schema.name if session.result else None
         ),
-        "state_fingerprint": state_fingerprint(session),
+        "state_fingerprint": head_fingerprint(session),
     }
 
 
@@ -216,7 +223,7 @@ def get_stats(ctx: Context) -> dict[str, Any]:
     return {
         "manager": ctx.manager.stats().to_wire(),
         "tenant": {
-            "sessions": len(ctx.manager.sessions(ctx.tenant)),
+            "sessions": ctx.manager.session_count(ctx.tenant),
             "jobs": len(jobs),
             "jobs_pending": sum(
                 1 for job in jobs if job.state in ("queued", "running")
@@ -496,7 +503,7 @@ def post_schema_edits(ctx: Context) -> dict[str, Any]:
         outcome = session.apply_edit(ctx.params["name"], edit)
         wire = outcome.to_wire()
         wire["schema"] = ctx.params["name"]
-        wire["state_fingerprint"] = state_fingerprint(session)
+        wire["state_fingerprint"] = head_fingerprint(session)
         return wire
 
 
@@ -571,7 +578,8 @@ def get_suggestions(ctx: Context) -> dict[str, Any]:
     scored by resemblance and each is trial-propagated, so the client
     knows up front which one-keystroke confirmations cannot conflict.
     Read-only — confirming a suggestion is a normal POST to
-    ``/assertions``.
+    ``/assertions``.  The wire list is computed once per kernel head
+    and query.
     """
     query = ctx.request.query
     first = query.get("first")
@@ -591,14 +599,18 @@ def get_suggestions(ctx: Context) -> dict[str, Any]:
         if limit <= 0:
             raise BadRequestError("'limit' must be positive")
     with ctx.manager.acquire(ctx.tenant, ctx.params["sid"]) as session:
-        suggestions = session.analysis.suggest_assertions(
-            first, second, relationships=relationships, limit=limit
-        )
-        return {
-            "suggestions": [
-                suggestion.to_wire() for suggestion in suggestions
+        analysis = session.analysis
+
+        def compute() -> list[dict[str, Any]]:
+            return [
+                suggestion.to_wire()
+                for suggestion in analysis.suggest_assertions(
+                    first, second, relationships=relationships, limit=limit
+                )
             ]
-        }
+
+        key = ("suggestions", first, second, relationships, limit)
+        return {"suggestions": analysis.kernel.read_at_head(key, compute)}
 
 
 def post_assertions_explain(ctx: Context) -> dict[str, Any]:
@@ -664,7 +676,7 @@ def post_integrate(ctx: Context) -> Any:
             "result_schema": result.schema.name,
             "summary": result.schema.summary(),
             "structures": len(result.nodes),
-            "state_fingerprint": state_fingerprint(session),
+            "state_fingerprint": head_fingerprint(session),
         }
 
 

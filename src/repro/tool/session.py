@@ -164,8 +164,9 @@ class ToolSession:
         repair-scope report; its summary lands on :attr:`status`.  When
         the edit is refused, nothing here changes.  When its transaction
         rolled back, the session was rebuilt in place: the tool re-reads
-        its schemas and points an attached federation at the rebuilt
-        object network before the error propagates.
+        its schemas and points an attached federation's planner at the
+        rebuilt object network, and its component stores at the rebuilt
+        schemas, before the error propagates.
         """
         self.schema(schema_name)  # unknown names are a ToolError here
         counters = self.analysis.counters
@@ -186,6 +187,10 @@ class ToolSession:
                 self._sync_schemas()
                 if planner is not None:
                     planner.object_network = self.object_network
+                    # the stores still hold the schemas the edit mutated
+                    for backend in self.federation.executor.backends.values():
+                        store = backend.store
+                        store.schema = self.schemas[store.schema.name]
             raise
         scope = outcome.scope
         scope.ocs_cells_recomputed = (
@@ -433,7 +438,6 @@ class ToolSession:
                 object_network=object_network,
                 relationship_network=relationship_network,
             )
-            session.analysis.kernel.set_baseline()
         if session.result is None and dictionary is not None:
             names = dictionary.result_names()
             if names:

@@ -46,6 +46,27 @@ class TestConstruction:
         assert [schema.name for schema in session.schemas()] == ["sc1", "sc2"]
         assert session.registry.counters is session.counters
 
+    def test_a_prebuilt_registry_session_can_rebuild(self):
+        from repro.baselines import state_payload_fingerprint
+
+        session = AnalysisSession(registry=paper_registry())
+        kernel = session.kernel
+        assert kernel.baseline == kernel.head > 0
+        start = state_payload_fingerprint(session)
+        kernel.checkout(kernel.head)
+        assert state_payload_fingerprint(session) == start
+        session.specify("sc1.Student", "sc2.Grad_student", 3)
+        specified = state_payload_fingerprint(session)
+        with pytest.raises(ValueError):
+            with kernel.transaction():
+                session.specify("sc1.Department", "sc2.Department", 1)
+                raise ValueError("the block fails")
+        assert state_payload_fingerprint(session) == specified
+        assert kernel.undo()
+        assert state_payload_fingerprint(session) == start
+        kernel.checkout(kernel.bus.offset)
+        assert state_payload_fingerprint(session) == specified
+
     def test_accepts_generator_of_schemas(self):
         session = AnalysisSession(s for s in [build_sc1(), build_sc2()])
         assert len(session.schemas()) == 2

@@ -266,3 +266,50 @@ class TestInfo:
         manager = SessionManager(tmp_path)
         with pytest.raises(UnknownSessionError):
             manager.info("acme", "ghost")
+
+
+class TestSessionCount:
+    def test_count_is_the_listing_length(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        manager = SessionManager(tmp_path, max_resident=2)
+        tenant_dir = manager.tenant_dir("acme")
+
+        def counted(view):
+            count = view.session_count("acme")
+            assert count == len(view.sessions("acme"))
+            return count
+
+        assert counted(manager) == 0
+        for sid in ("s1", "s2", "s3"):
+            manager.create("acme", sid)
+        manager.create("beta", "s1")
+        assert counted(manager) == 3
+        manager.evict("acme", "s2")
+        assert counted(manager) == 3
+        manager.purge("acme", "s3")
+        assert counted(manager) == 2
+        manager.shutdown()
+
+        # a restart: both sessions parked on disk, neither ever loaded
+        fresh = SessionManager(tmp_path)
+        assert counted(fresh) == 2
+        fresh.create("acme", "s4")
+        assert counted(fresh) == 3
+        fresh.purge("acme", "s1")
+        assert counted(fresh) == 2
+
+        globbed = []
+        glob = Path.glob
+
+        def spy(path, pattern):
+            if path == tenant_dir:
+                globbed.append(pattern)
+            return glob(path, pattern)
+
+        monkeypatch.setattr(Path, "glob", spy)
+        assert fresh.session_count("acme") == 2
+        assert globbed == []
+
+    def test_count_on_a_fresh_root(self, tmp_path):
+        assert SessionManager(tmp_path).session_count("acme") == 0

@@ -142,3 +142,34 @@ class TestEvolution:
         assert loaded.federation is federation
         assert federation.planner.object_network is loaded.object_network
         assert loaded.result is result
+
+    def test_a_rolled_back_edit_repoints_the_component_stores(
+        self, loaded, monkeypatch
+    ):
+        class Boom(Exception):
+            pass
+
+        loaded.integrate()
+        loaded.connect_federation()
+        registry = loaded.analysis.registry
+        evolve = registry.evolve_schema
+
+        def evolve_then_fail(*args, **kwargs):
+            evolve(*args, **kwargs)
+            raise Boom()
+
+        monkeypatch.setattr(registry, "evolve_schema", evolve_then_fail)
+        budget = AddAttribute(
+            "Department", Attribute("Budget", Domain(DomainKind.INTEGER))
+        )
+        with pytest.raises(Boom):
+            loaded.apply_edit("sc1", budget)
+        backends = loaded.federation.executor.backends
+        assert sorted(backends) == ["sc1", "sc2"]
+        for name, backend in backends.items():
+            assert backend.store.schema is loaded.analysis.registry.schema(name)
+        assert not backends["sc1"].store.schema.get("Department").has_attribute(
+            "Budget"
+        )
+        rows = loaded.execute_global_request("select Name from Department")
+        assert rows.rows
