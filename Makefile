@@ -27,9 +27,9 @@ test-deprecations:
 ##            retract <= 25% of a rebuild's propagation steps, one
 ##            equivalence edit <= 25% of the OCS cells
 ##            (BENCH_incremental.json)
-## kernel:    per-event bus cost <= 5% of an incremental retract;
-##            paper-world restore (baseline + replay) <= 50 ms
-##            (docs/ARCHITECTURE.md)
+## kernel:    the kernel and audit-replay tests; per-event bus cost
+##            <= 5% of an incremental retract; paper-world restore
+##            (baseline + replay) <= 50 ms (docs/ARCHITECTURE.md)
 ## crash:     crash-anywhere properties; WAL commit <= 5% of an
 ##            incremental retract; paper recovery <= 50 ms
 ##            (docs/DURABILITY.md)
@@ -51,6 +51,8 @@ bench_tests := benchmarks/bench_exp_closure.py \
 	benchmarks/bench_screens_equivalence.py \
 	--benchmark-disable-gc --benchmark-warmup=off
 bench_recorder := record_incremental.py
+kernel_tests := tests/kernel tests/obs/test_audit_edge_cases.py \
+	tests/obs/test_audit_replay.py tests/obs/test_audit_journal_property.py
 kernel_recorder := record_kernel.py
 crash_tests := tests/kernel/test_crash_anywhere.py tests/faults
 crash_recorder := record_durability.py

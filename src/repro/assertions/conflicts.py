@@ -108,13 +108,13 @@ class ConflictReport:
         if not self.facts:
             result: tuple[Assertion, ...] = ()
         else:
-            from repro.solver.explain import is_consistent, minimal_conflict
+            from repro.errors import AssertionSpecError
+            from repro.solver.explain import minimal_conflict
 
-            universe = list(self.facts)
-            if is_consistent([self.new] + universe):
+            try:
+                result = minimal_conflict(self.facts, background=[self.new])
+            except AssertionSpecError:
                 result = ()  # e.g. the feasibility check pre-empted propagation
-            else:
-                result = minimal_conflict(universe, background=[self.new])
         object.__setattr__(self, "_minimal_conflict", result)
         return result
 

@@ -199,7 +199,7 @@ class AssertionNetwork:
         self.incremental = incremental
         #: kernel-bus emitter (an :class:`AnalysisSession` binds one);
         #: commits every specify/retract, plus conflicts and rejections,
-        #: as ``<scope>.*`` events for the audit tap and undo/redo.
+        #: as ``<scope>.*`` events for the audit log and undo/redo.
         self.events: "EventEmitter | None" = None
 
     # -- membership ------------------------------------------------------------

@@ -108,7 +108,7 @@ class EquivalenceRegistry:
         self._version = 0
         #: the kernel bus every mutation is committed to (a standalone
         #: registry gets its own; an :class:`AnalysisSession` shares its
-        #: kernel's bus so the audit tap, views and undo all see one log)
+        #: kernel's bus so the audit log, views and undo all see one log)
         self.bus = bus if bus is not None else EventBus()
         #: shared work counters (an :class:`AnalysisSession` injects its own)
         self.counters = counters if counters is not None else AnalysisCounters()
@@ -163,7 +163,7 @@ class EquivalenceRegistry:
         """Commit one mutation as a ``registry.*`` event on the bus.
 
         ``bump=False`` publishes without advancing :attr:`version` — used
-        for no-op mutations that stay in the history (the audit tap
+        for no-op mutations that stay in the history (the audit log
         records the DDA's attempt) but must not trigger invalidation.
         """
         if bump:

@@ -7,8 +7,8 @@ ACS/OCS views and ranked candidate lists, and the two assertion networks
 :class:`~repro.obs.metrics.AnalysisCounters`, so a benchmark can reset
 the counters, replay a DDA script and read exactly how much incremental
 work each action cost — and one :class:`~repro.kernel.kernel.Kernel`,
-whose event bus every mutation is committed to: the audit log taps it,
-the cached views subscribe to it, and :meth:`Kernel.undo` /
+whose event bus every mutation is committed to: the audit log journals
+its commits, the cached views subscribe to it, and :meth:`Kernel.undo` /
 :meth:`Kernel.redo` / :meth:`Kernel.checkout` time-travel over it.
 
 Compared to wiring :class:`EquivalenceRegistry`, :class:`OcsMatrix` and
@@ -51,6 +51,7 @@ from repro.equivalence.ordering import CandidatePair, ordered_object_pairs
 from repro.equivalence.registry import EquivalenceIssue, EquivalenceRegistry
 from repro.errors import EquivalenceError
 from repro.kernel.bus import EventEmitter
+from repro.kernel.events import NO_CHANGE
 from repro.kernel.kernel import Kernel
 from repro.obs.metrics import AnalysisCounters
 
@@ -61,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
     from repro.evolution.repair import EditOutcome, RepairScope
     from repro.integration.options import IntegrationOptions
     from repro.integration.result import IntegrationResult
-    from repro.kernel.bus import Subscription
     from repro.kernel.events import Event
     from repro.obs.audit import AuditLog
 
@@ -79,7 +79,6 @@ class AnalysisSession:
         object_network: AssertionNetwork | None = None,
         relationship_network: AssertionNetwork | None = None,
         counters: AnalysisCounters | None = None,
-        audit: "AuditLog | None" = None,
         kernel: Kernel | None = None,
     ) -> None:
         schemas = list(schemas)
@@ -115,11 +114,6 @@ class AnalysisSession:
         self.object_network = object_network
         self.relationship_network = relationship_network
         self._bind_emitters()
-        #: the attached audit log, if any (see :meth:`attach_audit`)
-        self.audit_log: "AuditLog | None" = None
-        self._audit_subscription: "Subscription | None" = None
-        if audit is not None:
-            self.attach_audit(audit)
         for schema in schemas:
             self.add_schema(schema)
         if prebuilt:
@@ -202,7 +196,6 @@ class AnalysisSession:
         from repro.errors import ConsistencyFailure
         from repro.evolution.repair import EditOutcome, RepairScope
         from repro.kernel.apply import schema_fingerprint
-        from repro.kernel.events import NO_CHANGE
         from repro.obs.trace import span
 
         schema = self.registry.schema(schema_name)
@@ -500,60 +493,52 @@ class AnalysisSession:
         for schema in schemas:
             self.add_schema(schema)
 
+    def delete_schema(self, name: str) -> None:
+        """Screen 2 Delete: drop one schema and rebuild from the survivors.
+
+        One ``session.delete_schema`` event goes in the log; the rebuild
+        runs in replay mode, so equivalences and assertions start clean.
+        """
+        self.registry.schema(name)  # validates
+        remaining = [other for other in self.schemas() if other.name != name]
+        with self.kernel.group():
+            self.kernel.bus.publish("session", "delete_schema", {"name": name})
+            with self.kernel.bus.replaying():
+                self.reset_to(remaining)
+
+    def record_query(self, payload: dict) -> None:
+        """Log a federated query: it reads the state, so undo skips it."""
+        with self.kernel.group():
+            self.kernel.bus.publish(
+                "federation", "query", payload, inverse=NO_CHANGE
+            )
+
     # -- audit recording --------------------------------------------------------
+
+    @property
+    def audit_log(self) -> "AuditLog | None":
+        """The attached audit log, if any (see :meth:`attach_audit`)."""
+        return self.kernel.audit
 
     def attach_audit(self, log: "AuditLog | None" = None) -> "AuditLog":
         """Start recording every mutation into an audit log.
 
-        The log becomes a **live-only tap on the kernel bus**: every event
-        committed from now on — registry mutations, assertions, conflicts,
-        integrations, federated queries — is appended in the same JSONL
-        vocabulary as always, no matter which surface drives the mutation
-        (this facade, the interactive tool's screens, or direct component
-        calls).  If the session already has state, a ``session.snapshot``
-        event capturing it is recorded first, so a replay of the log
-        starts from the same point.  Returns the log (a fresh one is
-        created when ``log`` is omitted).
+        The kernel feeds the log from the same place as the WAL: every
+        group committed from now on, whatever surface drove it, and every
+        undo, redo and checkout (see :mod:`repro.obs.audit`).  If the
+        session already has state, a ``session.snapshot`` capturing it is
+        recorded first.  Returns the log (a fresh one when omitted).
         """
         from repro.obs.audit import AuditLog
 
-        if self._audit_subscription is not None:
-            self._audit_subscription.cancel()
-            self._audit_subscription = None
-        if log is None:
-            log = AuditLog()
-        self.audit_log = log
-        if (
-            self.registry.schemas()
-            or self.object_network.specified_assertions()
-            or self.relationship_network.specified_assertions()
-        ):
-            log.emit("session", "snapshot", self._audit_snapshot())
-        self._audit_subscription = self.kernel.bus.subscribe(
-            lambda event: log.emit(event.scope, event.action, event.payload),
-            live_only=True,
-        )
+        log = AuditLog() if log is None else log
+        self.kernel.attach_audit(log)
         return log
 
     def detach_audit(self) -> "AuditLog | None":
         """Stop recording; returns the previously attached log, if any."""
-        log = self.audit_log
-        self.audit_log = None
-        if self._audit_subscription is not None:
-            self._audit_subscription.cancel()
-            self._audit_subscription = None
+        log, self.kernel.audit = self.kernel.audit, None
         return log
-
-    def resnapshot_audit(self) -> None:
-        """Re-anchor the attached audit log after time travel.
-
-        The audit tap is live-only — replayed events never reach it — so
-        after an undo/redo/checkout/rollback the kernel appends a fresh
-        absolute ``session.snapshot``, keeping the log replayable to the
-        session's actual state.
-        """
-        if self.audit_log is not None:
-            self.audit_log.emit("session", "snapshot", self._audit_snapshot())
 
     def _audit_snapshot(self) -> dict:
         """What a ``session.snapshot`` audit event records.
@@ -561,21 +546,30 @@ class AnalysisSession:
         The :meth:`state_payload`, plus under ``integration`` the latest
         ``session.integrate`` event at the kernel head, if any: its pair,
         result name and options, with the fingerprint of the result at the
-        head (a later edit may have re-integrated it).  Replay re-runs that
-        integration after the snapshot, so an edit that follows
-        re-integrates there exactly when it did live.
+        head (a later edit may have re-integrated it) and, when that result
+        predates the head, under ``state`` the state it was computed from
+        (rebuilt on a scratch kernel).  Replay re-runs the integration
+        there, so an edit that follows re-integrates as it did live.
         """
         from repro.kernel.apply import schema_fingerprint
 
         payload = self.state_payload()
-        integrated = self.kernel.integration_at_head()
+        kernel = self.kernel
+        integrated = kernel.integration_at_head()
         if integrated is not None:
             recorded = dict(integrated.payload)
-            result = self.kernel.result_at_head()
+            result = kernel.result_at_head()
             if result is None:
                 recorded.pop("fingerprint", None)
             else:
                 recorded["fingerprint"] = schema_fingerprint(result.schema)
+            computed_at = kernel.result_offset_at_head()
+            if computed_at != kernel.head:
+                scratch = AnalysisSession(
+                    kernel=Kernel.restore(kernel.export_state())
+                )
+                scratch.kernel.checkout(computed_at)
+                recorded["state"] = scratch.state_payload()
             payload["integration"] = recorded
         return payload
 
@@ -823,7 +817,7 @@ class AnalysisSession:
 
         Commits a ``session.integrate`` event carrying the pair, result
         name, options and the result schema's SHA-256 fingerprint — the
-        audit tap records it, replay verifies bitwise-identical
+        audit log records it, replay verifies bitwise-identical
         reproduction against it, redo re-runs the integration from it,
         and a later :meth:`apply_edit` to either schema re-integrates
         with what it records.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.assertions.kinds import Source
@@ -93,11 +94,13 @@ def apply_event(
             diverge(event, f"unknown session action {event.action!r}")
     elif event.scope == "evolution":
         _apply_evolution_event(session, event, diverge, results=results)
+    elif event.scope == "kernel":
+        _apply_kernel_event(session, event, diverge)
     elif event.scope == "federation":
         # federated queries are informational: they read the analysis
         # state (mappings, assertions) but never mutate it, so replay
-        # has nothing to apply and nothing to verify
-        pass
+        # re-records the event and has nothing to verify
+        session.record_query(event.payload)
     else:
         diverge(event, f"unknown scope {event.scope!r}")
 
@@ -131,56 +134,45 @@ def _apply_registry_event(session, event, diverge) -> None:
         diverge(event, f"replay raised {type(exc).__name__}: {exc}")
 
 
-def _relationships(event) -> bool:
-    return event.scope == "relationship_network"
-
-
 def _apply_network_event(session, event, diverge) -> None:
     payload = event.payload
-    relationships = _relationships(event)
-    if event.action == "specify":
-        try:
-            session.specify(
-                payload["first"],
-                payload["second"],
-                int(payload["kind"]),
-                relationships=relationships,
-                source=Source[payload.get("source", "DDA")],
-                note=payload.get("note", ""),
-            )
-        except (ConflictError, AssertionSpecError) as exc:
-            diverge(event, f"recorded success now raises {type(exc).__name__}")
-    elif event.action == "retract":
+    relationships = event.scope == "relationship_network"
+    if event.action == "retract":
         try:
             session.retract(
                 payload["first"], payload["second"], relationships=relationships
             )
         except AssertionSpecError as exc:
             diverge(event, f"recorded retract now raises: {exc}")
-    elif event.action in ("conflict", "rejected"):
-        expected = (
-            ConflictError if event.action == "conflict" else AssertionSpecError
-        )
-        try:
-            session.specify(
-                payload["first"],
-                payload["second"],
-                int(payload["kind"]),
-                relationships=relationships,
-                source=Source[payload.get("source", "DDA")],
-                note=payload.get("note", ""),
-            )
-        except expected:
-            return  # the recorded failure reproduced — the network rolled back
-        except AssertionSpecError as exc:
-            diverge(
-                event,
-                f"recorded {event.action} reproduced as {type(exc).__name__}",
-            )
-            return
-        diverge(event, f"recorded {event.action} no longer raises")
-    else:
+        return
+    if event.action not in ("specify", "conflict", "rejected"):
         diverge(event, f"unknown network action {event.action!r}")
+        return
+    if payload.get("source") == "IMPLICIT":
+        held = session.network_for(relationships).assertion_for(
+            payload["first"], payload["second"]
+        )
+        if held is not None and held.source is Source.IMPLICIT:
+            return  # re-seeded by the schema event before it
+    try:
+        session.specify(
+            payload["first"],
+            payload["second"],
+            int(payload["kind"]),
+            relationships=relationships,
+            source=Source[payload.get("source", "DDA")],
+            note=payload.get("note", ""),
+        )
+        replayed = "specify"
+    except ConflictError:
+        replayed = "conflict"  # the network rolled back, as recorded
+    except AssertionSpecError:
+        replayed = "rejected"
+    expected = {event.action}
+    if event.action == "rejected":
+        expected.add("conflict")  # a conflict is a kind of rejection
+    if replayed not in expected:
+        diverge(event, f"recorded {event.action} replayed as {replayed}")
 
 
 def _apply_evolution_event(session, event, diverge, *, results) -> None:
@@ -196,16 +188,8 @@ def _apply_evolution_event(session, event, diverge, *, results) -> None:
     from repro.evolution.edits import edit_from_payload
 
     payload = event.payload
-    if event.action == "edit_rejected":
-        try:
-            session.apply_edit(
-                payload["schema"], edit_from_payload(payload["edit"])
-            )
-        except ConsistencyFailure:
-            return  # the recorded rejection reproduced
-        diverge(event, "recorded edit_rejected no longer raises")
-        return
-    if event.action != "apply_edit":
+    rejected = event.action == "edit_rejected"
+    if not rejected and event.action != "apply_edit":
         diverge(event, f"unknown evolution action {event.action!r}")
         return
     try:
@@ -215,7 +199,11 @@ def _apply_evolution_event(session, event, diverge, *, results) -> None:
     except ReplayError:
         raise
     except Exception as exc:
-        diverge(event, f"replay raised {type(exc).__name__}: {exc}")
+        if not (rejected and isinstance(exc, ConsistencyFailure)):
+            diverge(event, f"replay raised {type(exc).__name__}: {exc}")
+        return  # a recorded rejection reproduced
+    if rejected:
+        diverge(event, "recorded edit_rejected no longer raises")
         return
     if results is not None and outcome.result is not None:
         results.append(outcome.result)
@@ -273,51 +261,54 @@ def _apply_snapshot_event(session, event, diverge) -> None:
     """Rebuild snapshotted state: schemas, equivalence classes, assertions.
 
     A snapshot is an absolute statement of the session's state (recorded
-    when a log is attached to a non-empty session, or re-recorded after
-    time travel / a rebuild such as the tool's Delete Schema).  Any state
-    the session already has is discarded and rebuilt from the snapshot,
-    in place.
-
-    The snapshot becomes the kernel's baseline, so no integration from
-    before it stays at the head: after an undo past an integrate, a later
-    edit must not re-integrate.  The integration the snapshot records at
-    its head (see
+    when a log is attached, or a head move lands out of its reach).  The
+    session is rebuilt from it in place on a fresh kernel, so offsets
+    after it line up with the recorded session's.  The integration it
+    records at its head (see
     :meth:`~repro.equivalence.session.AnalysisSession._audit_snapshot`)
-    is run again after it and checked against the recorded fingerprint.
+    is run again on the state it was computed from and checked against
+    the recorded fingerprint; then the snapshot becomes the baseline.
     """
+    from repro.kernel.kernel import Kernel
     from repro.kernel.snapshots import apply_state
 
-    if (
-        session.schemas()
-        or session.object_network.specified_assertions()
-        or session.relationship_network.specified_assertions()
-    ):
-        session.reset_to([])
-    apply_state(
-        session,
-        event.payload,
-        on_error=lambda message: diverge(event, message),
-    )
-    session.kernel.set_baseline()
+    def restore(state) -> None:
+        with session.kernel.bus.replaying():
+            session.reset_to([])
+            apply_state(session, state, on_error=partial(diverge, event))
+
+    session.kernel = Kernel()
+    session.kernel.bind(session)
     integration = event.payload.get("integration")
     if integration is not None:
+        restore(integration.get("state", event.payload))
         _integrate_recorded(session, event, integration, diverge)
+    if integration is None or "state" in integration:
+        restore(event.payload)
+    session.kernel.set_baseline()
 
 
 def _apply_delete_schema_event(session, event, diverge) -> None:
-    """Drop one schema and rebuild from the survivors (Screen 2 Delete).
-
-    Matches the tool's behaviour: equivalences and assertions are
-    re-collected after a schema leaves the federation, so the rebuilt
-    session starts clean over the remaining schemas.
-    """
+    """Drop one schema and rebuild from the survivors (Screen 2 Delete)."""
     name = event.payload["name"]
-    remaining = [
-        schema for schema in session.schemas() if schema.name != name
-    ]
-    if len(remaining) == len(session.schemas()):
+    if name not in {schema.name for schema in session.schemas()}:
         diverge(event, f"schema {name!r} not present at delete")
-    session.reset_to(remaining)
+        return
+    session.delete_schema(name)
+
+
+def _apply_kernel_event(session, event, diverge) -> None:
+    """Repeat a recorded head move; a checkout counts from the baseline."""
+    kernel = session.kernel
+    if event.action == "checkout":
+        target = kernel.baseline + int(event.payload["offset"])
+        if target <= kernel.bus.offset:
+            return kernel.checkout(target)
+    elif event.action == "undo" and kernel.undo():
+        return
+    elif event.action == "redo" and kernel.redo():
+        return
+    diverge(event, "the recorded head move cannot be repeated")
 
 
 __all__ = [

@@ -19,8 +19,8 @@ facilities:
   that the kernel applies to undo the event without a checkout.
 
 Subscriptions filter by scope and action; ``live_only`` subscribers
-(the audit tap) skip replayed events, so a checkout never re-records
-history into an attached audit log.
+(the service's event stream) skip replayed events, so a checkout never
+re-delivers history to them.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class EventBus:
         ``scopes``/``actions`` restrict delivery (``None`` matches all).
         ``live_only`` subscribers are skipped while the bus replays
         history — use it for taps that must see each event exactly once
-        (the audit log); leave it off for invalidation listeners, which
-        must track state however it moves.
+        (the service's event stream); leave it off for invalidation
+        listeners, which must track state however it moves.
         """
         subscription = Subscription(
             self,
@@ -313,8 +313,8 @@ class EventBus:
 class EventEmitter:
     """A component's handle on the bus: binds its scope name.
 
-    Mirrors the old ``AuditSink`` shape so engines keep one cheap
-    ``self.events is None`` check per mutation; :meth:`muted` suspends
+    Engines keep one cheap ``self.events is None`` check per
+    mutation; :meth:`muted` suspends
     emission during internal repair (a network rebuild re-specifies its
     own log, which is not new DDA input).
     """

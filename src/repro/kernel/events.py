@@ -34,7 +34,7 @@ class _NoChange:
 
     Used for conflict/rejection events, re-statements of an existing
     assertion and equivalence declarations over an already-merged class:
-    they are part of the history (the audit tap records them) but undo
+    they are part of the history (the audit log records them) but undo
     skips straight past them.
     """
 

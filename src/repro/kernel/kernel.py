@@ -24,6 +24,8 @@ book-keeping that turns a flat event log into a session's history:
   the log + baseline through the data dictionary; restoring a session
   is ``Kernel.restore(...)`` followed by :meth:`checkout` of the saved
   head.
+* **journals** — an attached WAL and audit log both get each committed
+  group and each head move; a rolled-back transaction reaches neither.
 * **a read memo** — :meth:`read_at_head` remembers the answer to a
   read of the session state by the head it was computed at, for at
   most :data:`READ_MEMO_HEADS` heads.  Like an integration result, a
@@ -51,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.equivalence.session import AnalysisSession
     from repro.integration.result import IntegrationResult
     from repro.kernel.wal import WriteAheadLog
+    from repro.obs.audit import AuditLog
 
 T = TypeVar("T")
 
@@ -84,8 +87,8 @@ class _KernelGroup(Group):
         self._close()
         try:
             # no rollback on exception — whatever committed stays in the
-            # log, so it must reach the WAL too
-            self.kernel._wal_commit()
+            # log, so it must reach the journals too
+            self.kernel._commit()
         finally:
             self.bus._lock.release()
 
@@ -114,11 +117,14 @@ class Kernel:
         self._reads: dict[int, dict[Hashable, Any]] = {}
         #: the logged event :meth:`_replay_one` is re-applying, if any
         self._replaying: Event | None = None
-        #: the attached write-ahead log (see :meth:`attach_wal`), plus the
-        #: group-commit buffer: events published since the open group began
+        #: the attached journals, plus the group-commit buffer: events
+        #: published since the open group began
         self.wal: "WriteAheadLog | None" = None
-        self._wal_events: list[Event] = []
-        self._wal_truncate: int | None = None
+        self.audit: "AuditLog | None" = None
+        self._pending: list[Event] = []
+        self._pending_truncate: int | None = None
+        #: the audit log's reach: its origin and the last event it received
+        self._audit_origin = self._audit_end = 0
         #: monotonic count of live publishes — lets a transaction tell
         #: whether anything actually reached the log before it failed
         self._live_publishes = 0
@@ -183,19 +189,19 @@ class Kernel:
     def _before_live_publish(self) -> None:
         if self._head < self.bus.offset:
             self._truncate(self._head)
-            if self.wal is not None and self._wal_truncate is None:
-                self._wal_truncate = self._head
+            if self.wal is not None and self._pending_truncate is None:
+                self._pending_truncate = self._head
 
     def _after_live_publish(self, event: Event) -> None:
         self._live_publishes += 1
         self._head = event.offset
-        if self.wal is not None:
-            self._wal_events.append(event)
+        if self.wal is not None or self.audit is not None:
+            self._pending.append(event)
             if self.bus.active_txn is None:
                 # a bare publish outside any group is its own transaction
-                self._wal_commit()
+                self._commit()
 
-    # -- write-ahead log ---------------------------------------------------------
+    # -- journals ----------------------------------------------------------------
 
     def attach_wal(self, wal: "WriteAheadLog") -> None:
         """Journal every committed transaction to ``wal`` before returning.
@@ -209,8 +215,8 @@ class Kernel:
         """
         with self.bus.lock:
             self.wal = wal
-            self._wal_events = []
-            self._wal_truncate = None
+            self._pending = []
+            self._pending_truncate = None
             if not wal.open_report.records:
                 base: dict[str, Any] = {
                     "t": "base",
@@ -224,19 +230,38 @@ class Kernel:
                     base["snapshot"] = self._base.to_dict()
                 wal.append(base)
 
-    def _wal_commit(self) -> None:
-        """Flush the group buffer as one atomic WAL commit record."""
-        if self.wal is None or self.bus.active_txn is not None:
-            return
-        if not self._wal_events and self._wal_truncate is None:
-            return
-        events = [event.to_dict() for event in self._wal_events]
-        truncate = self._wal_truncate
-        self._wal_events = []
-        self._wal_truncate = None
-        self.wal.commit(events, truncate=truncate)
+    def attach_audit(self, log: "AuditLog") -> None:
+        """Journal committed groups and head moves to ``log`` too.
 
-    def _wal_discard(self) -> None:
+        The head, stated by a snapshot unless the session is empty,
+        becomes the log's origin.  Set :attr:`audit` to ``None`` to stop.
+        """
+        with self.bus.lock:
+            self.audit = log
+            snapshot = self.session._audit_snapshot()
+            if any(snapshot.values()):
+                log.emit("session", "snapshot", snapshot)
+            self._audit_origin = self._audit_end = self._head
+
+    def _commit(self) -> None:
+        """Flush the group buffer: one WAL commit record, and the events."""
+        if self.bus.active_txn is not None:
+            return
+        if not self._pending and self._pending_truncate is None:
+            return
+        events, truncate = self._pending, self._pending_truncate
+        self._pending, self._pending_truncate = [], None
+        if self.wal is not None:
+            self.wal.commit(
+                [event.to_dict() for event in events], truncate=truncate
+            )
+        log = self.audit
+        if log is not None and events:
+            for event in events:
+                log.emit(event.scope, event.action, event.payload, event.txn)
+            self._audit_end = events[-1].offset
+
+    def _discard(self) -> None:
         """Drop the group buffer (the transaction rolled back).
 
         The rolled-back *events* vanish without trace, but a staged
@@ -248,16 +273,30 @@ class Kernel:
         shipped WAL — would resurrect a redo tail the live kernel no
         longer has, and their log offsets would diverge.
         """
-        self._wal_events = []
-        truncate = self._wal_truncate
-        self._wal_truncate = None
+        self._pending = []
+        truncate = self._pending_truncate
+        self._pending_truncate = None
         if truncate is not None and self.wal is not None:
             self.wal.commit([], truncate=truncate)
 
-    def _wal_record_head(self) -> None:
-        """Journal a cursor move so recovery lands where the user was."""
-        if self.wal is not None and not self.bus.replaying_now:
+    def _record_head(self, action: str) -> None:
+        """Journal a cursor move so recovery and replay land where the user was.
+
+        A head out of the audit log's reach re-anchors it with a snapshot.
+        """
+        if self.bus.replaying_now:
+            return
+        if self.wal is not None:
             self.wal.record_head(self._head)
+        log = self.audit
+        if log is None:
+            return
+        if self._audit_origin <= self._head <= self._audit_end:
+            offset = {"offset": self._head - self._audit_origin}
+            log.emit("kernel", action, offset if action == "checkout" else {})
+        else:
+            log.emit("session", "snapshot", self.session._audit_snapshot())
+            self._audit_origin = self._audit_end = self._head
 
     # -- grouping and transactions ----------------------------------------------
 
@@ -293,14 +332,13 @@ class Kernel:
                 with self.bus.grouped() as txn:
                     yield txn
             except BaseException:
-                self._wal_discard()
+                self._discard()
                 if self._live_publishes > entry_publishes:
                     self._truncate(start)
                 self._rebuild_at(start)
-                self._resnapshot_audit()
                 raise
             else:
-                self._wal_commit()
+                self._commit()
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -343,8 +381,7 @@ class Kernel:
                     f"[{self._base.offset}, {self.bus.offset}]"
                 )
             self._rebuild_at(offset)
-            self._resnapshot_audit()
-            self._wal_record_head()
+            self._record_head("checkout")
 
     def undo(self) -> bool:
         """Revert the most recent effectful group; False if none remains.
@@ -359,15 +396,14 @@ class Kernel:
                 return False
             start, inverses = target
             if any(inverse is None for inverse in inverses):
-                self.checkout(start)  # records the head move itself
-                return True
-            with self.bus.replaying():
-                for inverse in reversed(inverses):
-                    if inverse is not NO_CHANGE:
-                        self._apply_inverse(inverse)
-            self._head = start
-            self._resnapshot_audit()
-            self._wal_record_head()
+                self._rebuild_at(start)
+            else:
+                with self.bus.replaying():
+                    for inverse in reversed(inverses):
+                        if inverse is not NO_CHANGE:
+                            self._apply_inverse(inverse)
+                self._head = start
+            self._record_head("undo")
             return True
 
     def redo(self) -> bool:
@@ -383,8 +419,7 @@ class Kernel:
                 return False
             for event in self.bus.events(self._head, end):
                 self._replay_one(event)
-            self._resnapshot_audit()
-            self._wal_record_head()
+            self._record_head("redo")
             return True
 
     def can_undo(self) -> bool:
@@ -495,17 +530,6 @@ class Kernel:
         for event in self.bus.events(base.offset, offset):
             self._replay_one(event)
 
-    def _resnapshot_audit(self) -> None:
-        """Re-anchor an attached audit log after time travel.
-
-        The audit tap is live-only, so replayed events never reach it;
-        appending a fresh ``session.snapshot`` keeps the log an accurate,
-        replayable statement of where the session now stands.
-        """
-        session = self.session
-        if session is not None:
-            session.resnapshot_audit()
-
     def _index_log(self) -> None:
         """Note the ``session.integrate`` events appended since last time."""
         for event in self.bus.events(self._indexed):
@@ -514,10 +538,11 @@ class Kernel:
         self._indexed = self.bus.offset
 
     def _latest_integrate(self) -> int | None:
-        """The offset of the latest integrate event in (baseline, head]."""
+        """The offset of the latest integrate event in [baseline, head]."""
         self._index_log()
         at = bisect_right(self._integrates, self._head)
-        if at and self._integrates[at - 1] > self._base.offset:
+        # one at the baseline is a replayed snapshot's integration
+        if at and self._integrates[at - 1] >= self._base.offset:
             return self._integrates[at - 1]
         return None
 
@@ -535,18 +560,22 @@ class Kernel:
         event's; an edit without one (it touched another schema, or its
         re-integration failed) falls through to the result before it.
         """
+        offset = self.result_offset_at_head()
+        return None if offset is None else self._results_by_offset.get(offset)
+
+    def result_offset_at_head(self) -> int | None:
+        """The offset of the event :meth:`result_at_head` reads."""
         with self.bus.lock:
             integrated = self._latest_integrate()
-            floor = self._base.offset if integrated is None else integrated
+            if integrated is None:
+                return None
             # only integrate and edit events record results, so one past
             # the latest integrate is an edit's
             offsets = self._result_offsets
             at = bisect_right(offsets, self._head)
-            if at and offsets[at - 1] > floor:
-                return self._results_by_offset[offsets[at - 1]]
-            if integrated is None:
-                return None
-            return self._results_by_offset.get(integrated)
+            if at and offsets[at - 1] > integrated:
+                return offsets[at - 1]
+            return integrated
 
     def read_at_head(self, key: Hashable, compute: Callable[[], T]) -> T:
         """``compute()``, remembered under ``key`` at the current head.

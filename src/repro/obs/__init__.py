@@ -70,7 +70,6 @@ __all__ = [
     # import the function from it: ``from repro.obs.replay import replay``)
     "AuditEvent",
     "AuditLog",
-    "AuditSink",
     "ReplayOutcome",
     "schema_fingerprint",
     # reports (lazy)
@@ -82,7 +81,6 @@ __all__ = [
 _LAZY = {
     "AuditEvent": ("repro.obs.audit", "AuditEvent"),
     "AuditLog": ("repro.obs.audit", "AuditLog"),
-    "AuditSink": ("repro.obs.audit", "AuditSink"),
     "ReplayOutcome": ("repro.obs.replay", "ReplayOutcome"),
     "schema_fingerprint": ("repro.obs.replay", "schema_fingerprint"),
     "summarize": ("repro.obs.report", "summarize"),

@@ -11,13 +11,13 @@ enough payload to re-drive a fresh
 :mod:`repro.obs.replay` does exactly that and checks the final integrated
 schema is bitwise identical.
 
-Events are emitted by the engines themselves through a small
-:class:`AuditSink` each component holds (``registry.audit``,
-``network.audit``), so the log sees mutations no matter which surface
-drove them — the :class:`AnalysisSession` facade, the interactive tool's
-screens, or direct registry/network calls.  Attach a log with
-:meth:`AnalysisSession.attach_audit`; attaching to a session that already
-has state first records a ``snapshot`` event capturing it.
+The session's kernel feeds the log from the same place as the WAL, so
+the log sees every committed group (tagged with its ``txn``; a
+rolled-back one never arrives) and every head move (``kernel.undo``,
+``kernel.redo``, ``kernel.checkout``), whatever surface drove them.  A
+``session.snapshot`` anchors the log where it was attached, and again
+where a head move lands out of its replay's reach.  Attach a log with
+:meth:`AnalysisSession.attach_audit`.
 
 The serialised form is JSONL — one event per line — so logs diff, grep
 and append cleanly.
@@ -35,23 +35,21 @@ class AuditEvent:
     """One recorded action.
 
     ``scope`` names the component that emitted it (``registry``,
-    ``object_network``, ``relationship_network`` or ``session``);
+    ``object_network``, ``relationship_network``, ``session``, ...);
     ``action`` the operation; ``payload`` the JSON-friendly arguments
-    needed to replay it.
+    needed to replay it; ``txn`` the id shared by one committed group's
+    events (``None`` on snapshots, head moves and older logs).
     """
 
     seq: int
     scope: str
     action: str
     payload: dict[str, Any] = field(default_factory=dict)
+    txn: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "scope": self.scope,
-            "action": self.action,
-            "payload": self.payload,
-        }
+        fields = vars(self).items()
+        return {key: value for key, value in fields if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AuditEvent":
@@ -60,6 +58,7 @@ class AuditEvent:
             scope=str(data["scope"]),
             action=str(data["action"]),
             payload=dict(data.get("payload", {})),
+            txn=data.get("txn"),
         )
 
     def __str__(self) -> str:
@@ -73,9 +72,15 @@ class AuditLog:
         self.events: list[AuditEvent] = []
         self._next_seq = 1
 
-    def emit(self, scope: str, action: str, payload: dict[str, Any]) -> AuditEvent:
-        """Append one event (engines call this through their sinks)."""
-        event = AuditEvent(self._next_seq, scope, action, payload)
+    def emit(
+        self,
+        scope: str,
+        action: str,
+        payload: dict[str, Any],
+        txn: int | None = None,
+    ) -> AuditEvent:
+        """Append one event (the session's kernel calls this)."""
+        event = AuditEvent(self._next_seq, scope, action, payload, txn)
         self._next_seq += 1
         self.events.append(event)
         return event
@@ -121,20 +126,3 @@ class AuditLog:
     def load_jsonl(cls, path) -> "AuditLog":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_jsonl(handle.read())
-
-
-class AuditSink:
-    """A component's handle on the log: binds its scope name.
-
-    The engines check ``self.audit is not None`` before emitting, so a
-    detached component costs one comparison per mutation.
-    """
-
-    __slots__ = ("log", "scope")
-
-    def __init__(self, log: AuditLog, scope: str) -> None:
-        self.log = log
-        self.scope = scope
-
-    def emit(self, action: str, payload: dict[str, Any]) -> AuditEvent:
-        return self.log.emit(self.scope, action, payload)

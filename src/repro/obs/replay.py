@@ -14,16 +14,19 @@ embedded session), save the JSONL, and anyone can re-run the sitting and
 obtain the same integrated schema — or be told precisely which event
 diverged.
 
-Since the kernel refactor the audit log is a live tap on the event bus
-and replay is literally kernel event application: this module is a thin
-loop over :func:`repro.kernel.apply.apply_event`, the same engine that
-drives kernel ``checkout``, undo and redo.  The fingerprint helpers
-moved to :mod:`repro.kernel.apply` and are re-exported here unchanged.
+The audit log journals the kernel's committed groups and head moves, as
+the WAL does, and replay is literally kernel event application: this
+module is a thin loop over :func:`repro.kernel.apply.apply_event`, the
+same engine that drives kernel ``checkout``, undo and redo.  The
+fingerprint helpers moved to :mod:`repro.kernel.apply` and are
+re-exported here unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from contextlib import nullcontext
+from itertools import groupby
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ReplayError
@@ -90,12 +93,16 @@ def replay(
             raise ReplayError(label)
         outcome.divergences.append(label)
 
-    for event in log:
-        apply_event(
-            session,
-            event,
-            diverge,
-            results=outcome.results,
-            fingerprints=outcome.fingerprints,
-        )
+    # a recorded group commits as one group again; untagged events (old
+    # logs, snapshots, head moves) stand alone
+    for txn, group in groupby(log, key=lambda event: event.txn or -event.seq):
+        with session.kernel.group() if txn > 0 else nullcontext():
+            for event in group:
+                apply_event(
+                    session,
+                    event,
+                    diverge,
+                    results=outcome.results,
+                    fingerprints=outcome.fingerprints,
+                )
     return outcome

@@ -186,11 +186,11 @@ class ConstraintSolver:
 
     def check(self, extra_facts: Iterable[Assertion] = ()) -> bool:
         """Whether the facts (plus hypotheticals) admit a solution."""
-        self.counters.solver_consistency_checks += 1
-        outcome = propagate(
+        from repro.solver.explain import is_consistent
+
+        return is_consistent(
             self.facts + list(extra_facts), counters=self.counters
         )
-        return outcome.culprit is None
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ def minimal_conflict(
     typically the one new assertion being explained — so the returned set
     names only pre-existing facts the DDA could retract.  If background
     plus all facts is consistent there is nothing to explain and
-    :class:`~repro.errors.AssertionSpecError` is raised.
+    :class:`~repro.errors.AssertionSpecError` is raised.  An inconsistent
+    background needs no facts at all: the answer is ``()``.
     """
     facts = list(facts)
     background = list(background)
@@ -64,7 +65,9 @@ def minimal_conflict(
             "cannot minimize a conflict: the facts are consistent"
         )
     with span("solver.explain", counters=counters):
-        conflict = tuple(_qx(background, False, facts, counters))
+        # Junker's QX(B, B, C): probe the background first; one fact
+        # alone is always consistent, so only a larger one is probed
+        conflict = tuple(_qx(background, len(background) > 1, facts, counters))
     if counters is not None:
         counters.solver_conflicts_minimized += 1
     return conflict

@@ -80,20 +80,8 @@ class ToolSession:
     def delete_schema(self, name: str) -> None:
         if name not in self.schemas:
             raise ToolError(f"no schema {name!r}")
-        del self.schemas[name]
-        # One ``session.delete_schema`` event goes in the log; the rebuild
-        # itself runs in replay mode (equivalences and assertions touching
-        # the schema die with it, re-derived from the survivors).  A
-        # recording in progress survives — the session re-snapshots its
-        # post-delete state so the log stays replayable.
-        kernel = self.analysis.kernel
-        with kernel.group():
-            kernel.bus.publish("session", "delete_schema", {"name": name})
-            with kernel.bus.replaying():
-                self.analysis.reset_to(list(self.schemas.values()))
-        self.analysis.resnapshot_audit()
-        if self.selected_pair and name in self.selected_pair:
-            self.selected_pair = None
+        self.analysis.delete_schema(name)
+        self._sync_schemas()
 
     # -- cross-phase undo/redo -----------------------------------------------------
 
@@ -316,7 +304,6 @@ class ToolSession:
         is on; replay treats these events as informational since they
         never mutate analysis state.
         """
-        from repro.kernel import NO_CHANGE
         from repro.tool.results import GlobalRequestResult
 
         engine = self.require_federation()
@@ -326,21 +313,16 @@ class ToolSession:
             raise
         except Exception as exc:  # surface engine faults as tool errors
             raise ToolError(f"federated query failed: {exc}") from exc
-        kernel = self.analysis.kernel
-        with kernel.group():
-            kernel.bus.publish(
-                "federation",
-                "query",
-                {
-                    "request": text,
-                    "strategy": str(result.plan.strategy),
-                    "components": result.plan.components,
-                    "rows": len(result.rows),
-                    "health": result.health.to_dict(),
-                    "conflicts": [c.describe() for c in result.conflicts],
-                },
-                inverse=NO_CHANGE,
-            )
+        self.analysis.record_query(
+            {
+                "request": text,
+                "strategy": str(result.plan.strategy),
+                "components": result.plan.components,
+                "rows": len(result.rows),
+                "health": result.health.to_dict(),
+                "conflicts": [c.describe() for c in result.conflicts],
+            }
+        )
         return GlobalRequestResult.from_engine_result(text, result)
 
     # -- persistence (the data dictionary) ---------------------------------------
@@ -536,7 +518,7 @@ class ToolSession:
         the restored session keeps journalling.
         """
         loaded = type(self).open(path, create=False)
-        audit = self.analysis.audit_log
+        audit = self.analysis.detach_audit()
         self.schemas = loaded.schemas
         self.analysis = loaded.analysis
         self.result = loaded.result

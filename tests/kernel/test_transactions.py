@@ -130,7 +130,7 @@ class TestRollback:
                     "sc1.Student.Name", "sc2.Grad_student.Name"
                 )
                 raise Boom()
-        assert log.events[-1].action == "snapshot"
+        assert log.actions() == ["session.snapshot"]
 
     def test_failed_transaction_still_raises_the_original_error(self, session):
         with pytest.raises(Boom):

@@ -199,7 +199,7 @@ class TestAuditResnapshot:
         log = session.attach_audit()
         session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
         session.kernel.undo()
-        assert log.events[-1].action == "snapshot"
+        assert log.actions()[-1] == "kernel.undo"
         from repro.obs.replay import replay
 
         outcome = replay(log)

@@ -1,9 +1,8 @@
 """Audit-log edge cases: mid-session attach, empty logs, trailing retractions.
 
-The audit log is a live-only tap on the kernel bus, so these cases all
-exercise the re-anchoring rule: whenever the session's state moves
-without live events (attach with prior state, checkout, undo), a fresh
-``session.snapshot`` keeps the saved log replayable.
+The audit log journals the kernel's commits and head moves, anchored
+where it was attached: attaching to a session with state writes a
+``session.snapshot``, and a later checkout is recorded relative to it.
 """
 
 import json
@@ -39,10 +38,13 @@ class TestMidSessionAttach:
         session.declare_equivalent("sc1.Student.Name", "sc2.Grad_student.Name")
         log = session.attach_audit()
         session.declare_equivalent("sc1.Student.GPA", "sc2.Grad_student.GPA")
-        # time travel back past the second declaration: the tap is
-        # live-only, so the kernel re-anchors the log with a snapshot
+        # time travel back past the second declaration, to the attach
+        # point: the log records the move relative to it
         session.kernel.checkout(session.kernel.head - 1)
-        assert log.events[-1].action == "snapshot"
+        assert (log.actions()[-1], log.events[-1].payload) == (
+            "kernel.checkout",
+            {"offset": 0},
+        )
         outcome = replay(AuditLog.from_jsonl(log.to_jsonl()))
         assert outcome.verified
         assert state_key(outcome.session) == state_key(session)
@@ -125,7 +127,7 @@ class TestSnapshotsCarryTheIntegrationAtHead:
 
     def test_a_snapshot_with_the_integrate_at_head_still_reintegrates(self):
         session, log = self.integrated_session()
-        session.kernel.checkout(session.kernel.head)
+        session.attach_audit(log)  # re-anchors the log with a snapshot
         assert log.events[-1].payload["integration"]["first"] == "sc1"
         session.apply_edit("sc1", self.BUDGET)
         live = schema_fingerprint(session.kernel.result_at_head().schema)
@@ -139,7 +141,7 @@ class TestSnapshotsCarryTheIntegrationAtHead:
     def test_the_snapshot_records_the_reintegrated_result(self):
         session, log = self.integrated_session()
         session.apply_edit("sc1", self.BUDGET)
-        session.kernel.checkout(session.kernel.head)
+        session.attach_audit(log)  # re-anchors the log with a snapshot
         live = schema_fingerprint(session.kernel.result_at_head().schema)
         assert log.events[-1].payload["integration"]["fingerprint"] == live
         outcome = replay(log)
@@ -149,7 +151,7 @@ class TestSnapshotsCarryTheIntegrationAtHead:
 
     def test_a_snapshot_integration_that_diverges_is_reported(self):
         session, log = self.integrated_session()
-        session.kernel.checkout(session.kernel.head)
+        session.attach_audit(log)  # re-anchors the log with a snapshot
         log.events[-1].payload["integration"]["fingerprint"] = "0" * 64
         with pytest.raises(ReplayError, match="session.snapshot"):
             replay(log)

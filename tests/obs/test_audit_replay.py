@@ -215,8 +215,8 @@ def test_delete_schema_preserves_the_recording():
     )
     session.delete_schema("sc2")
     assert session.analysis.audit_log is log
-    # a fresh snapshot captures the post-delete state
-    assert log.actions()[-1] == "session.snapshot"
+    # the delete is recorded as itself; replay runs the same delete
+    assert log.actions()[-1] == "session.delete_schema"
     session.analysis.declare_equivalent(
         "sc1.Student.Name", "sc1.Department.Name"
     )

@@ -79,3 +79,34 @@ class TestVerifyConflict:
     def test_accepts_inconsistent_background_alone(self, triangle_facts):
         # all blame already sits in the background: () is the right answer
         assert verify_conflict([], background=triangle_facts)
+
+
+class TestInconsistentBackground:
+    """QX(B, B, C): an inconsistent background needs no facts at all."""
+
+    @pytest.fixture
+    def background(self):
+        # A = B and B = C force A = C, which A ∥ C contradicts
+        return [
+            fact(A, B, AssertionKind.EQUALS),
+            fact(B, C, AssertionKind.EQUALS),
+            fact(A, C, AssertionKind.DISJOINT_INTEGRABLE),
+        ]
+
+    def test_no_fact_is_blamed(self, background):
+        facts = [fact(C, T, AssertionKind.EQUALS), fact(A, T, AssertionKind.EQUALS)]
+        conflict = minimal_conflict(facts, background=background)
+        assert conflict == ()
+        assert verify_conflict(conflict, background=background)
+
+    def test_no_facts_at_all(self, background):
+        assert minimal_conflict([], background=background) == ()
+
+    def test_one_fact_background_is_not_probed(self, triangle_facts):
+        # the probe counts QuickXplain took before the background probe
+        new, *rest = triangle_facts
+        padded = [fact(B, C, AssertionKind.CONTAINED_IN)] + rest
+        for facts, checks in ((rest, 3), (padded, 5)):
+            counters = AnalysisCounters()
+            minimal_conflict(facts, background=[new], counters=counters)
+            assert counters.solver_consistency_checks == checks
