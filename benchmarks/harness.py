@@ -16,7 +16,6 @@ federation component and its Figure 5 mapping, the compact sc1/sc2 DDL).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import os
@@ -221,34 +220,9 @@ class Service:
             max_resident=max_resident,
             telemetry=telemetry,
         )
-        self._loop = asyncio.new_event_loop()
-        self._task: asyncio.Task | None = None
-        started = threading.Event()
-
-        async def main() -> None:
-            ready = asyncio.Event()
-            self._task = asyncio.ensure_future(
-                serve(
-                    self.app,
-                    "127.0.0.1",
-                    self.port,
-                    executor_workers=workers,
-                    ready=ready,
-                )
-            )
-            await ready.wait()
-            started.set()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-
-        self._thread = threading.Thread(
-            target=self._loop.run_until_complete, args=(main(),), daemon=True
+        self.server = serve(
+            self.app, "127.0.0.1", self.port, executor_workers=workers
         )
-        self._thread.start()
-        if not started.wait(timeout=30):
-            raise RuntimeError("service thread never became ready")
 
     def stop(self) -> None:
         if self.proc is not None:
@@ -259,9 +233,7 @@ class Service:
                 self.proc.kill()
                 self.proc.wait(timeout=30)
             return
-        self._loop.call_soon_threadsafe(self._task.cancel)
-        self._thread.join(timeout=30)
-        self._loop.close()
+        self.server.stop()
         self.app.close()
 
     def __enter__(self) -> "Service":

@@ -2,7 +2,7 @@
 
 The service's promise is *bounded memory under real concurrency*: many
 tenants, few resident kernels, eviction/rehydration invisible except as
-latency.  This recorder stands up the real asyncio HTTP server on a
+latency.  This recorder stands up the real HTTP server on a
 loopback socket, drives ``TENANTS`` concurrent tenants (each from its own
 thread over a keep-alive connection) through the full integration
 lifecycle — create, load schemas, declare equivalences, assert, integrate,
@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     gates.at_most("p99_latency", p99, P99_CEILING_SECONDS)
     report = {
         "description": (
-            "multi-tenant service lifecycle over the real asyncio server; "
+            "multi-tenant service lifecycle over the real HTTP server; "
             "see docs/SERVICE.md and make service-smoke"
         ),
         "smoke": args.smoke,

@@ -380,7 +380,8 @@ class AnalysisSession:
         head lookups see the state before the edit: the latest
         ``session.integrate`` event and the result the edit supersedes.
         Nothing runs when the kernel already holds the result
-        (:meth:`Kernel.wants_result <repro.kernel.kernel.Kernel.wants_result>`).
+        (:meth:`Kernel.wants_result <repro.kernel.kernel.Kernel.wants_result>`),
+        or when a schema of the recorded pair is no longer registered.
         The integration re-runs with the event's recorded pair, result
         name and options (not whatever options the caller holds now), and
         a live result is recorded against the edit's offset; replay
@@ -403,6 +404,9 @@ class AnalysisSession:
         first, second = payload["first"], payload["second"]
         if schema_name not in (first, second):
             return None
+        registered = {schema.name for schema in self.registry.schemas()}
+        if not {first, second} <= registered:
+            return None  # Delete Schema took one side of the pair away
         previous = self.kernel.result_at_head()
         integrator = Integrator(
             self.registry,

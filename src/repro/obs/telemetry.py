@@ -350,7 +350,7 @@ def sse_stream(
     Each item popped from the subscription must be a JSON-ready dict
     carrying a ``seq`` key (used as the SSE ``id:``) — or, when
     ``transform`` is given, anything ``transform`` turns into such a
-    dict.  The hook runs on the stream's pump thread, letting
+    dict.  The hook runs on the thread that pulls the stream, letting
     publishers enqueue cheap raw objects and defer serialisation to
     the consumer that asked for it.  The stream ends —
     with a final ``event: end`` frame summarizing delivery — when

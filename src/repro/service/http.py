@@ -1,4 +1,4 @@
-"""Minimal HTTP/1.1 framing over asyncio streams — no dependencies.
+"""Minimal HTTP/1.1 framing over blocking sockets — no dependencies.
 
 The container ships no ASGI framework, so the service speaks HTTP
 directly: request-line + headers + ``Content-Length`` body in,
@@ -7,6 +7,11 @@ small — no chunked uploads, no multipart, no TLS — because every
 endpoint exchanges small JSON documents; anything outside the subset
 gets a clean 400/413 rather than undefined behaviour.
 
+The server (:class:`repro.service.app.ServiceServer`) gives each
+connection one thread: :func:`read_request` blocks on the connection's
+buffered file until a whole request has arrived, and the reply is
+written with one ``sendall``.
+
 :class:`Request` / :class:`Response` are also the in-process test
 surface: ``ServiceApp.dispatch`` takes a :class:`Request` and returns a
 :class:`Response`, so route tests never need a socket.
@@ -14,10 +19,9 @@ surface: ``ServiceApp.dispatch`` takes a :class:`Request` and returns a
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.service.errors import BadRequestError
@@ -124,13 +128,15 @@ class Response:
 class StreamingResponse:
     """A response whose body is produced incrementally (SSE endpoints).
 
-    ``chunks`` is a **blocking** byte iterator; the asyncio server drives
-    it on a worker thread and writes each chunk as it arrives.  There is
-    no ``Content-Length`` — the connection closes when the iterator is
-    exhausted, which is how HTTP/1.1 delimits the body.  In-process tests
-    iterate ``chunks`` directly, no socket needed.  The server (or the
-    test) must ``close()`` the iterator if it abandons the stream early,
-    so generator cleanup (unsubscribe, unpin) runs.
+    ``chunks`` is a **blocking** byte iterator; the server pulls it on
+    the connection's own thread and writes each chunk with ``sendall``
+    as it arrives.  There is no ``Content-Length`` — the connection
+    closes when the iterator is exhausted, which is how HTTP/1.1
+    delimits the body.  In-process tests iterate ``chunks`` directly, no
+    socket needed.  The server always calls :meth:`close` when the
+    stream ends, so generator cleanup (unsubscribe, unpin) runs also
+    when the client hangs up mid-stream; a test that abandons a stream
+    early must do the same.
     """
 
     chunks: "Iterator[bytes]"
@@ -175,24 +181,26 @@ def parse_target(target: str) -> tuple[str, dict[str, str]]:
     return unquote(parts.path), query
 
 
-async def read_request(
-    reader: asyncio.StreamReader, *, max_body: int = MAX_BODY_BYTES
+def read_request(
+    rfile: BinaryIO, *, max_body: int = MAX_BODY_BYTES
 ) -> Request | None:
-    """Read one request off the stream; ``None`` on a clean EOF.
+    """Read one request off a connection's buffered file.
 
-    Raises :class:`BadRequestError` on malformed framing — the caller
-    answers 400 and closes.
+    Blocks until the whole request has arrived; returns ``None`` on a
+    clean EOF between requests.  Raises :class:`BadRequestError` on
+    malformed framing — the caller answers 400 and closes.
     """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between requests
-        raise BadRequestError("truncated request head")
-    except asyncio.LimitOverrunError:
-        raise BadRequestError("request head too large")
-    if len(head) > MAX_HEAD_BYTES:
-        raise BadRequestError("request head too large")
+    head = b""
+    # the head ends at the first CRLFCRLF, which always closes a line
+    while not head.endswith(b"\r\n\r\n"):
+        line = rfile.readline(MAX_HEAD_BYTES + 1 - len(head))
+        if not line:
+            if not head:
+                return None  # clean close between requests
+            raise BadRequestError("truncated request head")
+        head += line
+        if len(head) > MAX_HEAD_BYTES:
+            raise BadRequestError("request head too large")
     try:
         text = head.decode("latin-1")
     except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails
@@ -221,12 +229,9 @@ async def read_request(
         raise BadRequestError(f"bad content-length {length_text!r}")
     if length < 0 or length > max_body:
         raise BadRequestError("request body too large")
-    body = b""
-    if length:
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise BadRequestError("truncated request body")
+    body = rfile.read(length) if length else b""
+    if len(body) < length:
+        raise BadRequestError("truncated request body")
     path, query = parse_target(target)
     return Request(
         method=method.upper(),

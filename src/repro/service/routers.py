@@ -352,8 +352,8 @@ def span_frame(item: Any) -> dict[str, Any]:
     """Serialise one published ``(span, request_id)`` pair for SSE.
 
     The spans hub carries raw pairs so request threads pay only a ring
-    append; this transform runs on the stream's pump thread, where the
-    consumer that asked for the data foots the serialisation bill.
+    append; this transform runs on the stream's connection thread, where
+    the consumer that asked for the data foots the serialisation bill.
     """
     span, request_id = item
     frame = span.to_dict()

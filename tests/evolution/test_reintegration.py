@@ -10,6 +10,9 @@ edited state.
 
 from __future__ import annotations
 
+import json
+import logging
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from repro.evolution import AddAttribute
 from repro.integration.integrator import Integrator
 from repro.integration.options import IntegrationOptions
 from repro.kernel.apply import schema_fingerprint
+from repro.obs.replay import replay
 from repro.obs.trace import tracing
 from repro.replication import ReplicaApplier, WalShipper
 from repro.service.manager import SessionManager
@@ -235,6 +239,28 @@ class TestReintegrationFollowsTheIntegrateEvent:
         assert not outcome.scope.integrated_patched
         assert outcome.result is None
         assert session.result is result
+
+    def test_edit_after_deleting_a_schema_of_the_pair(self, caplog):
+        session = ToolSession()
+        log = session.analysis.attach_audit()
+        build_paper_world(session)
+        session.delete_schema("sc2")
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            outcome = session.apply_edit("sc1", attribute_edit())
+        assert caplog.records == []  # skipped quietly, no traceback
+        assert outcome.result is None
+        assert not outcome.scope.integrated_patched
+        assert "A1" in session.analysis.schema("sc1").get(
+            "Department"
+        ).attribute_names()
+        # the audit replay takes the same branch and lands on the same state
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            replayed = replay(log)
+        assert caplog.records == []
+        assert replayed.verified
+        assert json.dumps(
+            replayed.session.state_payload(), sort_keys=True
+        ) == json.dumps(session.analysis.state_payload(), sort_keys=True)
 
     def test_the_outcome_carries_the_recorded_result(self):
         session = paper_world()

@@ -7,6 +7,8 @@ keeps running or exits cleanly.
 """
 
 import io
+import os
+import tempfile
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -49,11 +51,20 @@ def test_random_input_never_crashes(lines):
     )
 )
 def test_arbitrary_text_never_crashes(lines):
-    app = ToolApp()
-    for line in lines:
-        if app.finished:
-            break
-        app.feed(line)
+    # a random line can be an ``S <name>`` save: run in a scratch
+    # directory so its files stay out of the working tree (a
+    # function-scoped fixture would trip Hypothesis' health check)
+    with tempfile.TemporaryDirectory() as scratch:
+        cwd = os.getcwd()
+        os.chdir(scratch)
+        try:
+            app = ToolApp()
+            for line in lines:
+                if app.finished:
+                    break
+                app.feed(line)
+        finally:
+            os.chdir(cwd)
 
 
 class TestInteractiveMain:
