@@ -59,7 +59,8 @@ crash_recorder := record_durability.py
 service_tests := tests/service
 service_recorder := record_service.py --smoke
 telemetry_recorder := telemetry_smoke.py
-solver_tests := tests/solver tests/workloads/test_conflict_generator.py
+solver_tests := tests/solver tests/workloads/test_conflict_generator.py \
+	tests/assertions/test_conflict_report_digests.py
 solver_recorder := record_solver.py
 evolution_tests := tests/evolution tests/workloads/test_evolution_script.py
 evolution_recorder := record_evolution.py

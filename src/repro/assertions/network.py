@@ -43,6 +43,10 @@ interactive loop where each DDA action touches one edge:
 * :meth:`specify` propagates only from the changed edge's frontier, mutating
   the tables in place with an undo log (no whole-network copies); a conflict
   rolls the log back, leaving the network exactly as before.
+* Every narrowing goes through :meth:`_push`: :meth:`specify` and
+  :meth:`trial` push one fact, :func:`repro.solver.propagate` a fact list
+  onto a fresh network, and :func:`repro.solver.minimal_conflict` nests
+  one push per probe on one network, each rolled back by its undo log.
 * :meth:`retract` / :meth:`respecify` repair only the **affected
   neighborhood**: a per-edge support index records every triangle that ever
   narrowed a pair, the dependent closure of the retracted edge is reset, and
@@ -460,33 +464,17 @@ class AssertionNetwork:
         if not current & bit:
             raise ConflictError(self._report_for(new, MASK_RELATIONS[current]))
         undo = _UndoLog()
-        failure = self._narrow_pair(undo, x, y, bit)
-        if failure is not None:
+        failed_pair = self._push(undo, ((x, y, bit),))
+        if failed_pair is not None:
             # Restore the pre-trial network first so the Screen 9 report is
             # assembled from the committed state, as before.
             undo.rollback(self)
-            failed_pair = ordered_pair(
-                self._refs[failure[0]], self._refs[failure[1]]
-            )
             raise ConflictError(
                 self._report_for(new, frozenset(), failed_pair=failed_pair)
             )
         self._specified[key] = new
         self._log.append(new)
         return new, False
-
-    def _narrow_pair(
-        self, undo: _UndoLog, x: int, y: int, bit: int
-    ) -> _Key | None:
-        """Narrow R(x, y) to ``bit`` and propagate from that one pair.
-
-        Records every change in ``undo`` and returns the pair that
-        emptied, or ``None``; the caller keeps the result or rolls the
-        log back.
-        """
-        undo.remember(self, _key(x, y))
-        self._put(x, y, bit)
-        return self._propagate(undo, [(x, y)])
 
     def trial(
         self,
@@ -496,8 +484,8 @@ class AssertionNetwork:
     ) -> tuple[Assertion, ...] | None:
         """What specifying ``kind`` on a pair would do, without doing it.
 
-        Narrows the pair and propagates from it exactly as
-        :meth:`specify` does, then always rolls the run back: the masks,
+        Pushes the assertion through :meth:`_push` exactly as
+        :meth:`specify` does, then always rolls the push back: the masks,
         supports and support index are left as they were, no event is
         emitted, and the run's steps are counted in
         ``counters.solver_propagation_steps``, never in
@@ -517,15 +505,13 @@ class AssertionNetwork:
             coerce_object_ref(first), coerce_object_ref(second)
         )
         bit = RELATION_BIT[kind.relation]
-        if not self._rows[x][y] & bit:
-            return None
         counters = self.counters
         committed_steps = counters.propagation_steps
         undo = _UndoLog()
         try:
-            if self._narrow_pair(undo, x, y, bit) is not None:
+            if self._push(undo, ((x, y, bit),)) is not None:
                 return None
-            return self._newly_pinned(undo, _key(x, y))
+            return self._newly_pinned(undo)
         finally:
             undo.rollback(self)
             counters.solver_propagation_steps += (
@@ -533,20 +519,20 @@ class AssertionNetwork:
             )
             counters.propagation_steps = committed_steps
 
-    def _newly_pinned(
-        self, undo: _UndoLog, asserted: _Key
-    ) -> tuple[Assertion, ...]:
-        """The pairs a successful run pinned to one relation, by pair.
+    def _newly_pinned(self, undo: _UndoLog) -> tuple[Assertion, ...]:
+        """The pairs a successful one-fact push pinned to one relation.
 
-        Every pair the run narrowed (each logged pair but ``asserted``)
-        held more than one relation before: narrowing a singleton, and
-        so any specified pair, empties it, and the run would have failed.
+        The push logs the asserted pair first.  Every pair it logged
+        after that held more than one relation before: narrowing a
+        singleton, and so any specified pair, empties it, and the push
+        would have failed.  Sorted by pair.
         """
         rows = self._rows
+        _asserted, *narrowed = undo.entries
         pinned = [
             self._derived_at(key, supported=False)
-            for key in undo.entries
-            if key != asserted and _SINGLETON_TRANSLATE[rows[key[0]][key[1]]]
+            for key in narrowed
+            if _SINGLETON_TRANSLATE[rows[key[0]][key[1]]]
         ]
         pinned.sort(key=_pair_order)
         return tuple(pinned)
@@ -752,34 +738,33 @@ class AssertionNetwork:
 
     # -- propagation -------------------------------------------------------------
 
-    def propagate_facts(self, facts: Iterable[Assertion]) -> Pair | None:
-        """Close a batch of facts in one path-consistency run.
+    def _push(
+        self, undo: _UndoLog, seeds: Iterable[tuple[int, int, int]]
+    ) -> Pair | None:
+        """Narrow a batch of facts, then propagate from all of them at once.
 
-        The batch entry point of :mod:`repro.solver`, meant for a fresh
-        network whose nodes are the facts' objects: each fact narrows its
-        pair, then :meth:`_propagate` runs once, seeded with every fact
-        pair.  Only the feasible masks (and supports) change; nothing is
-        recorded as specified, and nothing is rolled back.  Returns the
-        canonical pair that emptied, or ``None``.  A fact that clashes with
-        an earlier one on its own pair fails at once, before any
-        propagation.
-
-        With nothing specified, every pair the batch leaves at one relation
-        reads as a derived assertion (:meth:`derived_assertions`): each
-        fact, with no supports, and each pair propagation pinned, with the
-        support of its last narrowing.  After a failure the masks are
-        mid-propagation and no read is a closure.  The solver reads only
-        :meth:`feasible_table`.
+        The network's one narrow-and-propagate entry point (its callers
+        are listed in the module docstring).  Each seed ``(x, y, bit)``
+        is a fact over node ids that ANDs relation bit ``bit`` into
+        R(x, y); :meth:`_propagate` then runs once, seeded with the fact
+        pairs in first-seen order.  Every change goes to ``undo``, which
+        the caller keeps or rolls back.  Returns the canonical pair that
+        emptied, or ``None``; a fact that empties its own pair fails
+        before any propagation.
         """
-        seeds: dict[_Key, tuple[int, int]] = {}
-        for fact in facts:
-            x, y = self._pair_nodes(fact.first, fact.second)
-            mask = self._rows[x][y] & RELATION_BIT[fact.relation]
+        rows = self._rows
+        pairs: dict[_Key, _Key] = {}
+        for x, y, bit in seeds:
+            key = _key(x, y)
+            undo.remember(self, key)
+            mask = rows[x][y] & bit
             self._put(x, y, mask)
             if not mask:
-                return fact.pair
-            seeds.setdefault(_key(x, y), (x, y))
-        failure = self._propagate(_UndoLog(), seeds.values())
+                failure: _Key | None = (x, y)
+                break
+            pairs.setdefault(key, (x, y))
+        else:
+            failure = self._propagate(undo, pairs.values())
         if failure is None:
             return None
         return ordered_pair(self._refs[failure[0]], self._refs[failure[1]])
@@ -1037,9 +1022,12 @@ class AssertionNetwork:
     def feasible_table(self) -> dict[Pair, frozenset[Relation]]:
         """Every non-universal feasible set, keyed by canonical pair.
 
-        Pairs absent from the table still admit all five relations.  The
-        batch solver (:mod:`repro.solver`) answers with this table, read
-        off a throwaway network after :meth:`propagate_facts`.
+        Pairs absent from the table still admit all five relations.
+        :func:`repro.solver.propagate` answers with this table, read off
+        its fresh network after one :meth:`_push` of every fact.  A
+        consistency probe (:func:`repro.solver.is_consistent`, each
+        QuickXplain step) needs only the pair :meth:`_push` returns and
+        builds no table.
         """
         refs = self._refs
         live = list(self._live)

@@ -357,8 +357,10 @@ def sse_stream(
     ``max_events`` items have been sent, ``timeout_s`` has elapsed, or no
     item arrived for ``idle_s`` seconds; with none of the three it runs
     until the client disconnects.  Heartbeat comments keep idle
-    connections alive through proxies.  ``on_close`` runs exactly once,
-    whether the stream ends normally or the consumer abandons it.
+    connections alive through proxies.  The subscription is closed and
+    ``on_close`` runs exactly once, whether the stream ends normally, the
+    consumer abandons it mid-stream, or it is closed before its first
+    chunk (a server that could not write the response head).
 
     ``linger_s`` trades latency for throughput: the stream switches the
     subscription to lazy polling — publishers stop waking the consumer
@@ -367,73 +369,81 @@ def sse_stream(
     each window as one chunk.  Zero means wake per publish and write
     immediately.
     """
-    sent = 0
-    started = clock()
-    last_item = started
-    last_beat = started
-    closed = False
-    lazy = linger_s > 0
-    if lazy:
-        subscription.lazy = True
+    def chunks() -> Iterator[bytes]:
+        sent = 0
+        started = clock()
+        last_item = started
+        last_beat = started
+        closed = False
+        lazy = linger_s > 0
+        if lazy:
+            subscription.lazy = True
 
-    def finish() -> None:
-        nonlocal closed
-        if not closed:
-            closed = True
-            subscription.close()
-            if on_close is not None:
-                on_close()
+        def finish() -> None:
+            nonlocal closed
+            if not closed:
+                closed = True
+                subscription.close()
+                if on_close is not None:
+                    on_close()
 
-    try:
-        yield sse_comment("stream open")
-        while True:
-            now = clock()
-            if max_events is not None and sent >= max_events:
-                break
-            if timeout_s is not None and now - started >= timeout_s:
-                break
-            if idle_s is not None and now - last_item >= idle_s:
-                break
-            wait = heartbeat_s
-            if timeout_s is not None:
-                wait = min(wait, max(0.0, timeout_s - (now - started)))
-            if idle_s is not None:
-                wait = min(wait, max(0.0, idle_s - (now - last_item)))
-            if lazy:
-                # the timed poll IS the batching window: nobody
-                # notifies, so the wait sleeps it out in full and the
-                # drain below collects everything that accumulated
-                wait = min(wait, linger_s)
-            limit = 256
-            if max_events is not None:
-                limit = min(limit, max_events - sent)
-            batch = subscription.pop_batch(limit, timeout=max(0.01, wait))
-            if not batch:
-                if not lazy:
-                    yield sse_comment("keep-alive")
-                elif now - last_beat >= heartbeat_s:
-                    last_beat = now
-                    yield sse_comment("keep-alive")
-                continue
-            last_item = clock()
-            last_beat = last_item
-            frames = []
-            for item in batch:
-                sent += 1
-                if transform is not None:
-                    item = transform(item)
-                frames.append(
-                    sse_frame(
-                        item, event=event, event_id=item.get("seq", sent)
+        try:
+            yield b""  # consumed by the priming ``next`` below
+            yield sse_comment("stream open")
+            while True:
+                now = clock()
+                if max_events is not None and sent >= max_events:
+                    break
+                if timeout_s is not None and now - started >= timeout_s:
+                    break
+                if idle_s is not None and now - last_item >= idle_s:
+                    break
+                wait = heartbeat_s
+                if timeout_s is not None:
+                    wait = min(wait, max(0.0, timeout_s - (now - started)))
+                if idle_s is not None:
+                    wait = min(wait, max(0.0, idle_s - (now - last_item)))
+                if lazy:
+                    # the timed poll IS the batching window: nobody
+                    # notifies, so the wait sleeps it out in full and the
+                    # drain below collects everything that accumulated
+                    wait = min(wait, linger_s)
+                limit = 256
+                if max_events is not None:
+                    limit = min(limit, max_events - sent)
+                batch = subscription.pop_batch(limit, timeout=max(0.01, wait))
+                if not batch:
+                    if not lazy:
+                        yield sse_comment("keep-alive")
+                    elif now - last_beat >= heartbeat_s:
+                        last_beat = now
+                        yield sse_comment("keep-alive")
+                    continue
+                last_item = clock()
+                last_beat = last_item
+                frames = []
+                for item in batch:
+                    sent += 1
+                    if transform is not None:
+                        item = transform(item)
+                    frames.append(
+                        sse_frame(
+                            item, event=event, event_id=item.get("seq", sent)
+                        )
                     )
-                )
-            yield b"".join(frames)
-        yield sse_frame(
-            {"sent": sent, "dropped": subscription.dropped},
-            event="end",
-        )
-    finally:
-        finish()
+                yield b"".join(frames)
+            yield sse_frame(
+                {"sent": sent, "dropped": subscription.dropped},
+                event="end",
+            )
+        finally:
+            finish()
+
+    stream = chunks()
+    # Start the generator here: one closed before its first ``next``
+    # never enters its ``try``, so its ``finally`` would not clean up.
+    next(stream)
+    return stream
 
 
 # ---------------------------------------------------------------------------

@@ -290,13 +290,16 @@ class SessionManager:
             record.lock.release()
 
     def _park(self, record: _Record) -> bool:
-        """Save and drop a resident kernel.  Caller holds the record lock."""
-        if record.session is None:
+        """Save and drop a resident kernel, closing its WAL segment.
+
+        Caller holds the record lock.
+        """
+        session = record.session
+        if session is None:
             return False
         with span("service.session.evict"):
-            record.session.save(
-                self.save_path(record.tenant, record.session_id)
-            )
+            session.save(self.save_path(record.tenant, record.session_id))
+        session.wal.close()
         record.session = None
         record.sized_at_offset = -1
         with self._mutex:
@@ -318,6 +321,8 @@ class SessionManager:
                     )
                 self._records.pop((tenant, session_id), None)
                 self._owned(tenant).discard(session_id)
+            if record.session is not None:
+                record.session.wal.close()
             record.session = None
             path = self.save_path(tenant, session_id)
             path.unlink(missing_ok=True)

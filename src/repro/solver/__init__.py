@@ -3,14 +3,16 @@
 The batch counterpart of :mod:`repro.assertions`'s incremental path
 consistency, run on the network's own closure kernel, in three pieces:
 
-* :mod:`repro.solver.engine` — a fact list closed in one batch-seeded
-  run of :class:`~repro.assertions.network.AssertionNetwork`'s
-  path-consistency loop on a throwaway network (:func:`propagate`,
+* :mod:`repro.solver.engine` — a fact list closed on a fresh network by
+  one push through :class:`~repro.assertions.network.AssertionNetwork`'s
+  one narrow-and-propagate entry point (:func:`propagate`,
   :class:`ConstraintSolver`), and what-if explanations answered by a
   rolled-back trial on the live network (:func:`explain_assertion`);
 * :mod:`repro.solver.explain` — QuickXplain minimal conflict sets: which
   of the committed facts to retract when propagation finds a
-  contradiction (:func:`minimal_conflict`, :func:`verify_conflict`);
+  contradiction (:func:`minimal_conflict`, :func:`verify_conflict`),
+  each probe one push onto a shared network, rolled back when its
+  recursion returns;
 * :mod:`repro.solver.suggest` — ranked equivalence suggestions, each
   labelled by a trial on the live network (:func:`suggest_equivalence_assertions`).
 

@@ -3,11 +3,12 @@
 The network (:class:`~repro.assertions.network.AssertionNetwork`) derives
 assertions *incrementally*: each DDA action seeds path consistency from the
 one edge it changed.  This module asks the same constraint problem of a
-whole fact list at once: :func:`propagate` builds a throwaway network over
-the facts' objects and hands every fact to
-:meth:`~repro.assertions.network.AssertionNetwork.propagate_facts`, which
-narrows each fact's pair and runs the network's one path-consistency loop
-seeded with all of them.  There is no second propagation loop, so the
+whole fact list at once: :func:`propagate` builds a fresh network over the
+facts' objects and pushes every fact through
+:meth:`~repro.assertions.network.AssertionNetwork._push`, the network's one
+narrow-and-propagate entry point, which narrows each fact's pair and runs
+the one path-consistency loop seeded with all of them.  ``specify``,
+``trial`` and QuickXplain's probes go through the same method, so the
 batch fixpoint is the network's by construction.
 
 On top of that one kernel the solver adds what a single derivation chain
@@ -28,12 +29,18 @@ from typing import Iterable, Sequence
 from repro.assertions.assertion import Assertion, Pair, ordered_pair
 from repro.assertions.composition import ALL_RELATIONS, converse_set
 from repro.assertions.kinds import AssertionKind, Relation, Source, derived_kind
-from repro.assertions.network import AssertionNetwork
+from repro.assertions.network import AssertionNetwork, _UndoLog
 from repro.ecr.coerce import coerce_object_ref
 from repro.ecr.schema import ObjectRef
 from repro.errors import ConsistencyFailure
 from repro.obs.metrics import AnalysisCounters
 from repro.obs.trace import span
+from repro.solver.explain import (
+    _network_over,
+    _seeds,
+    is_consistent,
+    minimal_conflict,
+)
 
 
 @dataclass
@@ -69,19 +76,16 @@ def propagate(
     *,
     counters: AnalysisCounters | None = None,
 ) -> Propagation:
-    """Close the facts on a throwaway network and read back its table.
+    """Close the facts on a fresh network and read back its table.
 
     Pure function over its inputs — the caller's network is never
-    touched — which is what makes :class:`ConstraintSolver` and the
-    QuickXplain subset probes of
-    :func:`~repro.solver.explain.minimal_conflict` cheap to express.
-    The steps are added to ``counters.solver_propagation_steps`` only.
+    touched.  :class:`ConstraintSolver` answers from it, and the
+    what-if checks in ``tests/solver`` hold the live network's trials
+    against it.  The steps are added to
+    ``counters.solver_propagation_steps`` only.
     """
-    network = AssertionNetwork()
-    for fact in facts:
-        network.add_object(fact.first)
-        network.add_object(fact.second)
-    culprit = network.propagate_facts(facts)
+    network = _network_over(facts)
+    culprit = network._push(_UndoLog(), _seeds(network, facts))
     steps = network.counters.propagation_steps
     if counters is not None:
         counters.solver_propagation_steps += steps
@@ -167,8 +171,6 @@ class ConstraintSolver:
         ConsistencyFailure
             With a minimal conflict set over the input facts.
         """
-        from repro.solver.explain import minimal_conflict
-
         self.counters.solver_runs += 1
         with span("solver.propagate", counters=self.counters):
             outcome = propagate(self.facts, counters=self.counters)
@@ -186,8 +188,6 @@ class ConstraintSolver:
 
     def check(self, extra_facts: Iterable[Assertion] = ()) -> bool:
         """Whether the facts (plus hypotheticals) admit a solution."""
-        from repro.solver.explain import is_consistent
-
         return is_consistent(
             self.facts + list(extra_facts), counters=self.counters
         )
@@ -259,10 +259,9 @@ def explain_assertion(
     The verdict and the consequences come from one
     :meth:`~repro.assertions.network.AssertionNetwork.trial` on the
     network, which it rolls back; only a conflict pays for the
-    from-scratch closures of :func:`~repro.solver.explain.minimal_conflict`.
+    nested-undo probes of :func:`~repro.solver.explain.minimal_conflict`
+    on a network of their own.
     """
-    from repro.solver.explain import minimal_conflict
-
     if isinstance(kind, int):
         kind = AssertionKind.from_code(kind)
     first = coerce_object_ref(first)

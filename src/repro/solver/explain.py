@@ -16,18 +16,40 @@ shrinks an inconsistent fact set to a subset that is
 
 using Junker's QUICKXPLAIN recursion (divide-and-conquer over the fact
 sequence, preferring earlier-asserted facts when several minimal sets
-exist).  Each consistency probe is one from-scratch batch propagation —
-cheap, because :func:`repro.solver.engine.propagate` is a pure function.
+exist).  All probes of one call share one network: each pushes only the
+facts the recursion just moved into the base, under an undo log it rolls
+back when its recursion returns.  Closure is unique, so each verdict is
+that of a from-scratch closure of the probe's whole fact set.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.assertions.assertion import Assertion
+from repro.assertions.composition import RELATION_BIT
+from repro.assertions.network import AssertionNetwork, _UndoLog
 from repro.errors import AssertionSpecError
 from repro.obs.metrics import AnalysisCounters
 from repro.obs.trace import span
+
+
+def _network_over(facts: Sequence[Assertion]) -> AssertionNetwork:
+    """A fresh network whose nodes are the facts' objects."""
+    network = AssertionNetwork()
+    for fact in facts:
+        network.add_object(fact.first)
+        network.add_object(fact.second)
+    return network
+
+
+def _seeds(
+    network: AssertionNetwork, facts: Iterable[Assertion]
+) -> Iterator[tuple[int, int, int]]:
+    """The facts as the ``(x, y, relation bit)`` seeds the network pushes."""
+    for fact in facts:
+        x, y = network._pair_nodes(fact.first, fact.second)
+        yield x, y, RELATION_BIT[fact.relation]
 
 
 def is_consistent(
@@ -35,12 +57,14 @@ def is_consistent(
     *,
     counters: AnalysisCounters | None = None,
 ) -> bool:
-    """Whether a fact set admits a fixpoint with no empty feasible set."""
-    from repro.solver.engine import propagate
-
+    """Whether a fact set admits a fixpoint (closed on a fresh network)."""
     if counters is not None:
         counters.solver_consistency_checks += 1
-    return propagate(facts, counters=counters).culprit is None
+    network = _network_over(facts)
+    culprit = network._push(_UndoLog(), _seeds(network, facts))
+    if counters is not None:
+        counters.solver_propagation_steps += network.counters.propagation_steps
+    return culprit is None
 
 
 def minimal_conflict(
@@ -60,42 +84,64 @@ def minimal_conflict(
     """
     facts = list(facts)
     background = list(background)
-    if is_consistent(background + facts, counters=counters):
-        raise AssertionSpecError(
-            "cannot minimize a conflict: the facts are consistent"
-        )
-    with span("solver.explain", counters=counters):
-        # Junker's QX(B, B, C): probe the background first; one fact
-        # alone is always consistent, so only a larger one is probed
-        conflict = tuple(_qx(background, len(background) > 1, facts, counters))
+    network = _network_over(background + facts)
+    try:
+        if counters is not None:
+            counters.solver_consistency_checks += 1
+        undo = _UndoLog()
+        culprit = network._push(undo, _seeds(network, background + facts))
+        undo.rollback(network)
+        if culprit is None:
+            raise AssertionSpecError(
+                "cannot minimize a conflict: the facts are consistent"
+            )
+        with span("solver.explain", counters=counters):
+            # Junker's QX(B, B, C): probe the background first; one fact
+            # alone is always consistent, so only a larger one is probed
+            conflict = tuple(
+                _qx(network, background, len(background) > 1, facts, counters)
+            )
+    finally:
+        if counters is not None:
+            counters.solver_propagation_steps += (
+                network.counters.propagation_steps
+            )
     if counters is not None:
         counters.solver_conflicts_minimized += 1
     return conflict
 
 
 def _qx(
-    base: list[Assertion],
-    delta_nonempty: bool,
+    network: AssertionNetwork,
+    delta: list[Assertion],
+    probe: bool,
     candidates: list[Assertion],
     counters: AnalysisCounters | None,
 ) -> list[Assertion]:
-    """QUICKXPLAIN(base, candidates): minimal culprit subset of candidates.
+    """QUICKXPLAIN(base + delta, candidates): minimal culprits in candidates.
 
-    ``delta_nonempty`` is True when the caller just moved facts into
-    ``base``; only then can ``base`` alone have become inconsistent,
-    which lets the trivial-consistency probe be skipped otherwise.
+    The network holds the closure of ``base``; ``delta`` is pushed on
+    top for this call and rolled back when it returns.  ``probe`` is
+    False when ``delta`` cannot have made the base inconsistent (it is
+    empty, or one fact alone); only a probe counts as a check.
     """
-    if delta_nonempty and not is_consistent(base, counters=counters):
-        return []
-    if len(candidates) == 1:
-        return list(candidates)
-    half = len(candidates) // 2
-    left, right = candidates[:half], candidates[half:]
-    # Minimal culprits within `right`, assuming all of `left` holds...
-    in_right = _qx(base + left, bool(left), right, counters)
-    # ...then minimal culprits within `left`, assuming those hold.
-    in_left = _qx(base + in_right, bool(in_right), left, counters)
-    return in_left + in_right
+    if probe and counters is not None:
+        counters.solver_consistency_checks += 1
+    undo = _UndoLog()
+    try:
+        if network._push(undo, _seeds(network, delta)) is not None:
+            return []
+        if len(candidates) == 1:
+            return list(candidates)
+        half = len(candidates) // 2
+        left, right = candidates[:half], candidates[half:]
+        # Minimal culprits within `right`, assuming all of `left` holds...
+        in_right = _qx(network, left, bool(left), right, counters)
+        # ...then minimal culprits within `left`, assuming those hold.
+        in_left = _qx(network, in_right, bool(in_right), left, counters)
+        return in_left + in_right
+    finally:
+        undo.rollback(network)
 
 
 def verify_conflict(

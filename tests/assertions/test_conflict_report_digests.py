@@ -8,8 +8,9 @@ QuickXplain conflict set over the committed fact log.  Two checks:
 * on the paper world and two generated worlds, the wire form and the
   rendering of every refused probe match digests recorded before the
   report stopped closing the fact log twice;
-* building the conflict set closes the whole fact log once, not once
-  for a pre-check and once more inside ``minimal_conflict``.
+* building the conflict set pushes the whole fact log onto a network
+  once (:meth:`~repro.assertions.network.AssertionNetwork._push`), not
+  once for a pre-check and once more inside ``minimal_conflict``.
 
 The generated worlds are set up as perfbench's ``sitting`` workload
 sets them up (34 concepts, overlap 0.6, category rate 1.0, two planted
@@ -24,9 +25,9 @@ import random
 
 import pytest
 
-import repro.solver.engine as engine
 from repro.assertions.conflicts import render_screen9
 from repro.assertions.kinds import AssertionKind
+from repro.assertions.network import AssertionNetwork
 from repro.equivalence.session import AnalysisSession
 from repro.errors import AssertionSpecError, ConflictError
 from repro.workloads.generator import GeneratorConfig, generate_schema_pair
@@ -163,15 +164,15 @@ def test_conflict_set_closes_the_whole_fact_log_once(monkeypatch):
     for report in reports:
         full = len(report.facts) + 1
         closures = []
-        real = engine.propagate
+        real = AssertionNetwork._push
 
-        def counting(facts, *args, **kwargs):
+        def counting(network, undo, facts):
             facts = list(facts)
             if len(facts) >= full:
                 closures.append(len(facts))
-            return real(facts, *args, **kwargs)
+            return real(network, undo, facts)
 
-        monkeypatch.setattr(engine, "propagate", counting)
+        monkeypatch.setattr(AssertionNetwork, "_push", counting)
         report.minimal_conflict()
-        monkeypatch.setattr(engine, "propagate", real)
+        monkeypatch.setattr(AssertionNetwork, "_push", real)
         assert closures == [full]

@@ -163,6 +163,37 @@ def test_sse_stream_abandonment_runs_cleanup():
     assert subscription.closed
 
 
+def _drain_to_end(stream):
+    list(stream)
+
+
+@pytest.mark.parametrize(
+    "pulled",
+    [
+        pytest.param(lambda stream: None, id="before-start"),
+        pytest.param(lambda stream: next(stream), id="mid-stream"),
+        pytest.param(_drain_to_end, id="at-end"),
+    ],
+)
+def test_sse_stream_cleanup_runs_exactly_once(pulled):
+    hub = StreamHub()
+    subscription = hub.subscribe("k")
+    closed = []
+    stream = sse_stream(
+        subscription,
+        event="span",
+        max_events=1,
+        on_close=lambda: closed.append(True),
+    )
+    hub.publish("k", {"seq": 1})
+    pulled(stream)
+    stream.close()
+    stream.close()
+    assert closed == [True]
+    assert subscription.closed
+    assert hub.subscriber_count() == 0
+
+
 def test_sse_stream_idle_timeout_and_heartbeat(monkeypatch):
     hub = StreamHub()
     subscription = hub.subscribe("k")

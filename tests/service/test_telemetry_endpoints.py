@@ -259,6 +259,17 @@ def test_open_events_stream_pins_the_session(seeded, app):
     assert app.telemetry.events_hub.subscriber_count() == 0
 
 
+def test_events_stream_closed_before_its_first_chunk_unpins(seeded, app):
+    # the server closes a stream whose head it could not write
+    response = raw(app, "GET", "/v1/sessions/s1/events/stream")
+    assert isinstance(response, StreamingResponse)
+    response.close()
+    assert app.telemetry.events_hub.subscriber_count() == 0
+    assert app.telemetry._taps == {}
+    evicted = raw(app, "DELETE", "/v1/sessions/s1")
+    assert evicted.status == 200  # the pin went with the stream
+
+
 # -- the acceptance property ------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.assertions.assertion import Assertion, ordered_pair
 from repro.assertions.composition import ALL_RELATIONS
 from repro.assertions.kinds import AssertionKind, Relation, Source
-from repro.assertions.network import AssertionNetwork
+from repro.assertions.network import AssertionNetwork, _UndoLog
 from repro.baselines import derived_keys, naive_closure, objects_of
 from repro.equivalence.session import AnalysisSession
 from repro.errors import AssertionSpecError, ConsistencyFailure
@@ -17,6 +17,7 @@ from repro.solver import (
     verify_conflict,
 )
 from repro.solver.engine import derived_from
+from repro.solver.explain import _seeds
 from repro.workloads.generator import GeneratorConfig, generate_schema_pair
 
 from tests.solver.conftest import A, B, C, T, fact, truth_facts
@@ -87,7 +88,7 @@ class TestPropagate:
 
 
 class TestBatchNetworkReads:
-    """What a network closed by ``propagate_facts`` reports.
+    """What a network closed by one batch push reports.
 
     Nothing is specified on it, so every pair it holds at one relation
     reads as derived: the facts themselves, with no supports (nothing was
@@ -102,7 +103,7 @@ class TestBatchNetworkReads:
         for each in facts:
             network.add_object(each.first)
             network.add_object(each.second)
-        assert network.propagate_facts(facts) is None
+        assert network._push(_UndoLog(), _seeds(network, facts)) is None
         return network
 
     def test_every_singleton_pair_reads_as_derived(self, chain_facts):
