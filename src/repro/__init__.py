@@ -44,93 +44,7 @@ networks, keeping them incrementally consistent)::
     print(result.schema.summary())
 """
 
-from repro.ecr import (
-    Attribute,
-    AttributeRef,
-    Category,
-    CardinalityConstraint,
-    Domain,
-    DomainKind,
-    EntitySet,
-    ObjectRef,
-    Participation,
-    RelationshipSet,
-    Schema,
-    SchemaBuilder,
-    ascii_diagram,
-    dot_diagram,
-    parse_ddl,
-    to_ddl,
-    validate_schema,
-)
-from repro.equivalence import (
-    AcsMatrix,
-    AnalysisSession,
-    CandidatePair,
-    EquivalenceRegistry,
-    OcsMatrix,
-    RegistryChange,
-    attribute_ratio,
-    ordered_object_pairs,
-)
-from repro.obs.metrics import AnalysisCounters
-from repro.assertions import (
-    Assertion,
-    AssertionKind,
-    AssertionNetwork,
-    ConflictReport,
-    Relation,
-)
-from repro.integration import (
-    IntegrationOptions,
-    IntegrationResult,
-    Integrator,
-    SchemaMapping,
-    build_mappings,
-    integrate_all,
-    integrate_pair,
-)
-from repro.query import (
-    Request,
-    parse_request,
-    rewrite_to_components,
-    rewrite_to_integrated,
-)
-from repro.federation import (
-    ExecutionPolicy,
-    FederatedPlan,
-    FederationEngine,
-    FederationHealth,
-    FederationResult,
-    MergeStrategy,
-)
-from repro.errors import (
-    AssertionSpecError,
-    BackendError,
-    ConflictError,
-    ConsistencyFailure,
-    CorruptDictionaryError,
-    DdlError,
-    DictionaryError,
-    DictionaryFormatError,
-    DictionaryNotFoundError,
-    DuplicateNameError,
-    EquivalenceError,
-    FederationError,
-    IntegrationError,
-    KernelError,
-    MappingError,
-    QueryError,
-    ReplayError,
-    ReproError,
-    SchemaError,
-    ScriptError,
-    ToolError,
-    TranslationError,
-    UnknownNameError,
-    ValidationError,
-    WalError,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -217,3 +131,82 @@ __all__ = [
     "WalError",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Attribute": "repro.ecr",
+        "AttributeRef": "repro.ecr",
+        "Category": "repro.ecr",
+        "CardinalityConstraint": "repro.ecr",
+        "Domain": "repro.ecr",
+        "DomainKind": "repro.ecr",
+        "EntitySet": "repro.ecr",
+        "ObjectRef": "repro.ecr",
+        "Participation": "repro.ecr",
+        "RelationshipSet": "repro.ecr",
+        "Schema": "repro.ecr",
+        "SchemaBuilder": "repro.ecr",
+        "ascii_diagram": "repro.ecr",
+        "dot_diagram": "repro.ecr",
+        "parse_ddl": "repro.ecr",
+        "to_ddl": "repro.ecr",
+        "validate_schema": "repro.ecr",
+        "AcsMatrix": "repro.equivalence",
+        "AnalysisSession": "repro.equivalence",
+        "CandidatePair": "repro.equivalence",
+        "EquivalenceRegistry": "repro.equivalence",
+        "OcsMatrix": "repro.equivalence",
+        "RegistryChange": "repro.equivalence",
+        "attribute_ratio": "repro.equivalence",
+        "ordered_object_pairs": "repro.equivalence",
+        "AnalysisCounters": "repro.obs.metrics",
+        "Assertion": "repro.assertions",
+        "AssertionKind": "repro.assertions",
+        "AssertionNetwork": "repro.assertions",
+        "ConflictReport": "repro.assertions",
+        "Relation": "repro.assertions",
+        "IntegrationOptions": "repro.integration",
+        "IntegrationResult": "repro.integration",
+        "Integrator": "repro.integration",
+        "SchemaMapping": "repro.integration",
+        "build_mappings": "repro.integration",
+        "integrate_all": "repro.integration",
+        "integrate_pair": "repro.integration",
+        "Request": "repro.query",
+        "parse_request": "repro.query",
+        "rewrite_to_components": "repro.query",
+        "rewrite_to_integrated": "repro.query",
+        "ExecutionPolicy": "repro.federation",
+        "FederatedPlan": "repro.federation",
+        "FederationEngine": "repro.federation",
+        "FederationHealth": "repro.federation",
+        "FederationResult": "repro.federation",
+        "MergeStrategy": "repro.federation",
+        "AssertionSpecError": "repro.errors",
+        "BackendError": "repro.errors",
+        "ConflictError": "repro.errors",
+        "ConsistencyFailure": "repro.errors",
+        "CorruptDictionaryError": "repro.errors",
+        "DdlError": "repro.errors",
+        "DictionaryError": "repro.errors",
+        "DictionaryFormatError": "repro.errors",
+        "DictionaryNotFoundError": "repro.errors",
+        "DuplicateNameError": "repro.errors",
+        "EquivalenceError": "repro.errors",
+        "FederationError": "repro.errors",
+        "IntegrationError": "repro.errors",
+        "KernelError": "repro.errors",
+        "MappingError": "repro.errors",
+        "QueryError": "repro.errors",
+        "ReplayError": "repro.errors",
+        "ReproError": "repro.errors",
+        "SchemaError": "repro.errors",
+        "ScriptError": "repro.errors",
+        "ToolError": "repro.errors",
+        "TranslationError": "repro.errors",
+        "UnknownNameError": "repro.errors",
+        "ValidationError": "repro.errors",
+        "WalError": "repro.errors",
+    },
+)

@@ -1,15 +1,6 @@
 """Metrics, instrumentation counters and report tables for experiments."""
 
-from repro.obs.metrics import AnalysisCounters
-from repro.analysis.metrics import (
-    schema_size,
-    SchemaSize,
-    integration_effort,
-    EffortReport,
-)
-from repro.analysis.diff import diff_schemas
-from repro.analysis.report import Table
-from repro.analysis.trace import integration_report
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AnalysisCounters",
@@ -21,3 +12,17 @@ __all__ = [
     "Table",
     "integration_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "AnalysisCounters": "repro.obs.metrics",
+        "schema_size": "repro.analysis.metrics",
+        "SchemaSize": "repro.analysis.metrics",
+        "integration_effort": "repro.analysis.metrics",
+        "EffortReport": "repro.analysis.metrics",
+        "diff_schemas": "repro.analysis.diff",
+        "Table": "repro.analysis.report",
+        "integration_report": "repro.analysis.trace",
+    },
+)

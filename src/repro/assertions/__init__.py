@@ -19,18 +19,7 @@ Public surface:
 * :class:`ConflictReport` — the Screen 9 conflict explanation.
 """
 
-from repro.assertions.kinds import AssertionKind, Relation, Source
-from repro.assertions.composition import (
-    ALL_RELATIONS,
-    compose,
-    compose_sets,
-    converse,
-    converse_set,
-)
-from repro.assertions.assertion import Assertion
-from repro.assertions.network import AssertionNetwork
-from repro.assertions.conflicts import ConflictReport, render_screen9
-from repro.assertions.matrix import assertion_code_matrix, render_assertion_matrix
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AssertionKind",
@@ -48,3 +37,23 @@ __all__ = [
     "assertion_code_matrix",
     "render_assertion_matrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "AssertionKind": "repro.assertions.kinds",
+        "Relation": "repro.assertions.kinds",
+        "Source": "repro.assertions.kinds",
+        "ALL_RELATIONS": "repro.assertions.composition",
+        "compose": "repro.assertions.composition",
+        "compose_sets": "repro.assertions.composition",
+        "converse": "repro.assertions.composition",
+        "converse_set": "repro.assertions.composition",
+        "Assertion": "repro.assertions.assertion",
+        "AssertionNetwork": "repro.assertions.network",
+        "ConflictReport": "repro.assertions.conflicts",
+        "render_screen9": "repro.assertions.conflicts",
+        "assertion_code_matrix": "repro.assertions.matrix",
+        "render_assertion_matrix": "repro.assertions.matrix",
+    },
+)

@@ -13,31 +13,7 @@
   oracle incremental schema-evolution repair is pinned to.
 """
 
-from repro.baselines.ordering_baselines import (
-    all_cross_pairs,
-    ordering_alphabetical,
-    ordering_random,
-    ordering_resemblance,
-    recall_at_k,
-)
-from repro.baselines.closure_baselines import (
-    ClosureStats,
-    drive_assertions_with_closure,
-    drive_assertions_without_closure,
-)
-from repro.baselines.solver_baselines import (
-    derived_keys,
-    naive_closure,
-    objects_of,
-)
-from repro.baselines.evolution_baselines import (
-    rebuild_matches,
-    rebuild_session,
-    reintegrate_from_scratch,
-    session_from_payload,
-    state_payload_fingerprint,
-)
-from repro.baselines.strategies import ladder_orders
+from repro._lazy import lazy_exports
 
 __all__ = [
     "derived_keys",
@@ -58,3 +34,26 @@ __all__ = [
     "session_from_payload",
     "state_payload_fingerprint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "all_cross_pairs": "repro.baselines.ordering_baselines",
+        "ordering_alphabetical": "repro.baselines.ordering_baselines",
+        "ordering_random": "repro.baselines.ordering_baselines",
+        "ordering_resemblance": "repro.baselines.ordering_baselines",
+        "recall_at_k": "repro.baselines.ordering_baselines",
+        "ClosureStats": "repro.baselines.closure_baselines",
+        "drive_assertions_with_closure": "repro.baselines.closure_baselines",
+        "drive_assertions_without_closure": "repro.baselines.closure_baselines",
+        "derived_keys": "repro.baselines.solver_baselines",
+        "naive_closure": "repro.baselines.solver_baselines",
+        "objects_of": "repro.baselines.solver_baselines",
+        "rebuild_matches": "repro.baselines.evolution_baselines",
+        "rebuild_session": "repro.baselines.evolution_baselines",
+        "reintegrate_from_scratch": "repro.baselines.evolution_baselines",
+        "session_from_payload": "repro.baselines.evolution_baselines",
+        "state_payload_fingerprint": "repro.baselines.evolution_baselines",
+        "ladder_orders": "repro.baselines.strategies",
+    },
+)

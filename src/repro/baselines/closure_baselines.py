@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.assertions.kinds import AssertionKind
 from repro.assertions.network import AssertionNetwork
 from repro.ecr.schema import ObjectRef, Schema
 from repro.errors import ConflictError
-from repro.workloads.oracle import GroundTruth
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.workloads.oracle import GroundTruth
 
 _CODES = [kind for kind in AssertionKind]
 

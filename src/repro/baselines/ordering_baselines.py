@@ -10,11 +10,14 @@ correspondences among the first k pairs reviewed.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from repro.ecr.schema import ObjectRef, Schema
 from repro.equivalence.ordering import ordered_object_pairs
 from repro.equivalence.registry import EquivalenceRegistry
-from repro.workloads.oracle import GroundTruth
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.workloads.oracle import GroundTruth
 
 #: An ordering is just a list of cross-schema object pairs to review.
 PairList = list[tuple[ObjectRef, ObjectRef]]

@@ -23,9 +23,7 @@ mappings promise: a view request answered on the view's database equals
 the rewritten request answered on the integrated database.
 """
 
-from repro.data.instances import Instance, InstanceStore, Link
-from repro.data.populate import populate_store
-from repro.data.migrate import federated_answer, merge_stores, migrate_store
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Instance",
@@ -36,3 +34,16 @@ __all__ = [
     "merge_stores",
     "federated_answer",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Instance": "repro.data.instances",
+        "InstanceStore": "repro.data.instances",
+        "Link": "repro.data.instances",
+        "populate_store": "repro.data.populate",
+        "federated_answer": "repro.data.migrate",
+        "merge_stores": "repro.data.migrate",
+        "migrate_store": "repro.data.migrate",
+    },
+)

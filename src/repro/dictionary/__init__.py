@@ -10,13 +10,7 @@ mappings — with JSON save/load and reconstruction of the live objects
 :class:`~repro.assertions.network.AssertionNetwork`).
 """
 
-from repro.dictionary.store import DataDictionary
-from repro.dictionary.serialize import (
-    result_to_dict,
-    result_from_dict,
-    mapping_to_dict,
-    mapping_from_dict,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DataDictionary",
@@ -25,3 +19,14 @@ __all__ = [
     "mapping_to_dict",
     "mapping_from_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "DataDictionary": "repro.dictionary.store",
+        "result_to_dict": "repro.dictionary.serialize",
+        "result_from_dict": "repro.dictionary.serialize",
+        "mapping_to_dict": "repro.dictionary.serialize",
+        "mapping_from_dict": "repro.dictionary.serialize",
+    },
+)

@@ -20,35 +20,7 @@ This package implements the paper's schema-analysis machinery:
   networks, sharing one set of instrumentation counters.
 """
 
-from repro.equivalence.union_find import DisjointSet
-from repro.equivalence.registry import (
-    EquivalenceRegistry,
-    EquivalenceIssue,
-    RegistryChange,
-)
-from repro.equivalence.acs import AcsMatrix, AcsCell
-from repro.equivalence.ocs import OcsMatrix, OcsEntry
-from repro.equivalence.resemblance import (
-    attribute_ratio,
-    AttributeRatio,
-    NameResemblance,
-    KeyResemblance,
-    DomainResemblance,
-    WeightedResemblance,
-    name_similarity,
-)
-from repro.equivalence.ordering import CandidatePair, ordered_object_pairs
-from repro.equivalence.synonyms import SynonymDictionary, DEFAULT_SYNONYMS
-from repro.equivalence.constructs import (
-    ConstructConflict,
-    suggest_construct_conflicts,
-)
-from repro.equivalence.heuristics import (
-    EquivalenceSuggestion,
-    suggest_equivalences,
-    apply_suggestions,
-)
-from repro.equivalence.session import AnalysisSession
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AnalysisSession",
@@ -77,3 +49,34 @@ __all__ = [
     "suggest_equivalences",
     "apply_suggestions",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "DisjointSet": "repro.equivalence.union_find",
+        "EquivalenceRegistry": "repro.equivalence.registry",
+        "EquivalenceIssue": "repro.equivalence.registry",
+        "RegistryChange": "repro.equivalence.registry",
+        "AcsMatrix": "repro.equivalence.acs",
+        "AcsCell": "repro.equivalence.acs",
+        "OcsMatrix": "repro.equivalence.ocs",
+        "OcsEntry": "repro.equivalence.ocs",
+        "attribute_ratio": "repro.equivalence.resemblance",
+        "AttributeRatio": "repro.equivalence.resemblance",
+        "NameResemblance": "repro.equivalence.resemblance",
+        "KeyResemblance": "repro.equivalence.resemblance",
+        "DomainResemblance": "repro.equivalence.resemblance",
+        "WeightedResemblance": "repro.equivalence.resemblance",
+        "name_similarity": "repro.equivalence.resemblance",
+        "CandidatePair": "repro.equivalence.ordering",
+        "ordered_object_pairs": "repro.equivalence.ordering",
+        "SynonymDictionary": "repro.equivalence.synonyms",
+        "DEFAULT_SYNONYMS": "repro.equivalence.synonyms",
+        "ConstructConflict": "repro.equivalence.constructs",
+        "suggest_construct_conflicts": "repro.equivalence.constructs",
+        "EquivalenceSuggestion": "repro.equivalence.heuristics",
+        "suggest_equivalences": "repro.equivalence.heuristics",
+        "apply_suggestions": "repro.equivalence.heuristics",
+        "AnalysisSession": "repro.equivalence.session",
+    },
+)

@@ -137,10 +137,10 @@ class AnalysisSession:
         with self.kernel.group():
             self.registry.register_schema(schema)
             self.object_network.seed_schema(schema)
-            for relationship in schema.relationship_sets():
-                self.relationship_network.add_object(
-                    ObjectRef(schema.name, relationship.name)
-                )
+            self.relationship_network.add_objects(
+                ObjectRef(schema.name, relationship.name)
+                for relationship in schema.relationship_sets()
+            )
 
     def refresh_schema(
         self, schema_name: str, replacement: Schema | None = None

@@ -15,26 +15,7 @@ sessions must agree bitwise on their ``state_payload`` fingerprints.
 See ``docs/EVOLUTION.md`` for the vocabulary and the repair pipeline.
 """
 
-from repro.evolution.edits import (
-    EDIT_KINDS,
-    AddAttribute,
-    AddClass,
-    AddParticipation,
-    AddRelationship,
-    ChangeCardinality,
-    ChangeKey,
-    DropAttribute,
-    DropClass,
-    DropParticipation,
-    DropRelationship,
-    EditDelta,
-    RenameAttribute,
-    RetargetRelationship,
-    SchemaEdit,
-    SetCategoryParents,
-    edit_from_payload,
-)
-from repro.evolution.repair import EditOutcome, RepairScope
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AddAttribute",
@@ -57,3 +38,28 @@ __all__ = [
     "SetCategoryParents",
     "edit_from_payload",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "EDIT_KINDS": "repro.evolution.edits",
+        "AddAttribute": "repro.evolution.edits",
+        "AddClass": "repro.evolution.edits",
+        "AddParticipation": "repro.evolution.edits",
+        "AddRelationship": "repro.evolution.edits",
+        "ChangeCardinality": "repro.evolution.edits",
+        "ChangeKey": "repro.evolution.edits",
+        "DropAttribute": "repro.evolution.edits",
+        "DropClass": "repro.evolution.edits",
+        "DropParticipation": "repro.evolution.edits",
+        "DropRelationship": "repro.evolution.edits",
+        "EditDelta": "repro.evolution.edits",
+        "RenameAttribute": "repro.evolution.edits",
+        "RetargetRelationship": "repro.evolution.edits",
+        "SchemaEdit": "repro.evolution.edits",
+        "SetCategoryParents": "repro.evolution.edits",
+        "edit_from_payload": "repro.evolution.edits",
+        "EditOutcome": "repro.evolution.repair",
+        "RepairScope": "repro.evolution.repair",
+    },
+)

@@ -19,28 +19,7 @@ equal the oracle's exactly.  Start with
 ``docs/FEDERATION.md`` for the full tour.
 """
 
-from repro.federation.backends import (
-    ComponentBackend,
-    FlakyBackend,
-    InstanceBackend,
-    SqliteBackend,
-    render_sql_ddl,
-)
-from repro.federation.engine import FederationEngine, FederationResult
-from repro.federation.executor import (
-    ExecutionPolicy,
-    ExecutionResult,
-    FederationExecutor,
-)
-from repro.federation.health import (
-    BreakerState,
-    CircuitBreaker,
-    ComponentStatus,
-    FederationHealth,
-)
-from repro.federation.merge import MergeConflict, MergeOutcome, merge_legs
-from repro.federation.plan import FederatedPlan, MergeStrategy, PairAssertion
-from repro.federation.planner import QueryPlanner
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BreakerState",
@@ -65,3 +44,30 @@ __all__ = [
     "merge_legs",
     "render_sql_ddl",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ComponentBackend": "repro.federation.backends",
+        "FlakyBackend": "repro.federation.backends",
+        "InstanceBackend": "repro.federation.backends",
+        "SqliteBackend": "repro.federation.backends",
+        "render_sql_ddl": "repro.federation.backends",
+        "FederationEngine": "repro.federation.engine",
+        "FederationResult": "repro.federation.engine",
+        "ExecutionPolicy": "repro.federation.executor",
+        "ExecutionResult": "repro.federation.executor",
+        "FederationExecutor": "repro.federation.executor",
+        "BreakerState": "repro.federation.health",
+        "CircuitBreaker": "repro.federation.health",
+        "ComponentStatus": "repro.federation.health",
+        "FederationHealth": "repro.federation.health",
+        "MergeConflict": "repro.federation.merge",
+        "MergeOutcome": "repro.federation.merge",
+        "merge_legs": "repro.federation.merge",
+        "FederatedPlan": "repro.federation.plan",
+        "MergeStrategy": "repro.federation.plan",
+        "PairAssertion": "repro.federation.plan",
+        "QueryPlanner": "repro.federation.planner",
+    },
+)

@@ -21,24 +21,7 @@ Clusters — groups of objects connected by any assertion except disjoint
 non-integrable — partition the work.
 """
 
-from repro.integration.naming import (
-    abbreviate,
-    derived_name,
-    equivalent_name,
-    merged_attribute_name,
-    NamePool,
-)
-from repro.integration.clusters import Cluster, compute_clusters, connects_pair
-from repro.integration.lattice import transitive_reduction, ancestors_in_dag
-from repro.integration.result import (
-    IntegrationResult,
-    IntegratedNode,
-    AttributeOrigin,
-)
-from repro.integration.options import IntegrationOptions
-from repro.integration.integrator import Integrator, integrate_pair
-from repro.integration.mappings import SchemaMapping, build_mappings
-from repro.integration.nary import integrate_all
+from repro._lazy import lazy_exports
 
 __all__ = [
     "abbreviate",
@@ -61,3 +44,28 @@ __all__ = [
     "build_mappings",
     "integrate_all",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "abbreviate": "repro.integration.naming",
+        "derived_name": "repro.integration.naming",
+        "equivalent_name": "repro.integration.naming",
+        "merged_attribute_name": "repro.integration.naming",
+        "NamePool": "repro.integration.naming",
+        "Cluster": "repro.integration.clusters",
+        "compute_clusters": "repro.integration.clusters",
+        "connects_pair": "repro.integration.clusters",
+        "transitive_reduction": "repro.integration.lattice",
+        "ancestors_in_dag": "repro.integration.lattice",
+        "IntegrationResult": "repro.integration.result",
+        "IntegratedNode": "repro.integration.result",
+        "AttributeOrigin": "repro.integration.result",
+        "IntegrationOptions": "repro.integration.options",
+        "Integrator": "repro.integration.integrator",
+        "integrate_pair": "repro.integration.integrator",
+        "SchemaMapping": "repro.integration.mappings",
+        "build_mappings": "repro.integration.mappings",
+        "integrate_all": "repro.integration.nary",
+    },
+)

@@ -14,6 +14,8 @@ DDA does when reviewing an intermediate result against a new view.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.assertions.network import AssertionNetwork
 from repro.ecr.attributes import AttributeRef
 from repro.ecr.schema import ObjectRef, Schema
@@ -24,7 +26,9 @@ from repro.integration.mappings import SchemaMapping
 from repro.integration.options import IntegrationOptions
 from repro.integration.result import IntegrationResult
 from repro.obs.trace import span
-from repro.workloads.oracle import GroundTruth
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.workloads.oracle import GroundTruth
 
 
 def integrate_all(

@@ -7,27 +7,7 @@ bus, the audit log taps it, the data dictionary serialises it — the
 event log is the source of truth (see ``docs/ARCHITECTURE.md``).
 """
 
-from repro.kernel.apply import (
-    apply_event,
-    canonical_schema_json,
-    event_label,
-    schema_fingerprint,
-)
-from repro.kernel.bus import EventBus, EventEmitter, Subscription
-from repro.kernel.events import NO_CHANGE, Command, Event
-from repro.kernel.kernel import Kernel
-from repro.kernel.recovery import (
-    RecoveryManager,
-    RecoveryReport,
-    merge_wal_records,
-)
-from repro.kernel.snapshots import Snapshot, apply_state
-from repro.kernel.wal import (
-    WalOpenReport,
-    WriteAheadLog,
-    encode_record,
-    scan_records,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NO_CHANGE",
@@ -51,3 +31,29 @@ __all__ = [
     "scan_records",
     "schema_fingerprint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "apply_event": "repro.kernel.apply",
+        "canonical_schema_json": "repro.kernel.apply",
+        "event_label": "repro.kernel.apply",
+        "schema_fingerprint": "repro.kernel.apply",
+        "EventBus": "repro.kernel.bus",
+        "EventEmitter": "repro.kernel.bus",
+        "Subscription": "repro.kernel.bus",
+        "NO_CHANGE": "repro.kernel.events",
+        "Command": "repro.kernel.events",
+        "Event": "repro.kernel.events",
+        "Kernel": "repro.kernel.kernel",
+        "RecoveryManager": "repro.kernel.recovery",
+        "RecoveryReport": "repro.kernel.recovery",
+        "merge_wal_records": "repro.kernel.recovery",
+        "Snapshot": "repro.kernel.snapshots",
+        "apply_state": "repro.kernel.snapshots",
+        "WalOpenReport": "repro.kernel.wal",
+        "WriteAheadLog": "repro.kernel.wal",
+        "encode_record": "repro.kernel.wal",
+        "scan_records": "repro.kernel.wal",
+    },
+)

@@ -17,28 +17,12 @@ interactive tool's screens, and direct registry/network calls):
 
 :mod:`repro.obs.report` renders per-phase summaries from any of the above.
 
-Heavier submodules (audit/replay/report) load lazily so that the engines'
-hot-path import — ``from repro.obs.trace import span`` — stays free of
-import cycles.
+Every export loads on first use (:mod:`repro._lazy`), so the engines'
+hot-path import — ``from repro.obs.trace import span`` — pulls in no
+heavier obs module and stays free of import cycles.
 """
 
-from repro.obs.metrics import (
-    AnalysisCounters,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    get_tracer,
-    install_tracer,
-    span,
-    tracing,
-    uninstall_tracer,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     # metrics
@@ -56,7 +40,7 @@ __all__ = [
     "tracing",
     "uninstall_tracer",
     "use_tracer",
-    # telemetry plane (lazy): Prometheus exposition, SSE streaming,
+    # telemetry plane: Prometheus exposition, SSE streaming,
     # request correlation
     "RollingLatency",
     "StreamHub",
@@ -66,46 +50,48 @@ __all__ = [
     "render_prometheus",
     "set_request_id",
     "sse_stream",
-    # audit + replay (lazy; ``repro.obs.replay`` itself is the submodule —
+    # audit + replay (``repro.obs.replay`` itself is the submodule —
     # import the function from it: ``from repro.obs.replay import replay``)
     "AuditEvent",
     "AuditLog",
     "ReplayOutcome",
     "schema_fingerprint",
-    # reports (lazy)
+    # reports
     "summarize",
     "render_text",
     "render_json",
 ]
 
-_LAZY = {
-    "AuditEvent": ("repro.obs.audit", "AuditEvent"),
-    "AuditLog": ("repro.obs.audit", "AuditLog"),
-    "ReplayOutcome": ("repro.obs.replay", "ReplayOutcome"),
-    "schema_fingerprint": ("repro.obs.replay", "schema_fingerprint"),
-    "summarize": ("repro.obs.report", "summarize"),
-    "render_text": ("repro.obs.report", "render_text"),
-    "render_json": ("repro.obs.report", "render_json"),
-    "RollingLatency": ("repro.obs.telemetry", "RollingLatency"),
-    "StreamHub": ("repro.obs.telemetry", "StreamHub"),
-    "StreamSubscription": ("repro.obs.telemetry", "StreamSubscription"),
-    "current_request_id": ("repro.obs.telemetry", "current_request_id"),
-    "parse_prometheus": ("repro.obs.telemetry", "parse_prometheus"),
-    "render_prometheus": ("repro.obs.telemetry", "render_prometheus"),
-    "set_request_id": ("repro.obs.telemetry", "set_request_id"),
-    "sse_stream": ("repro.obs.telemetry", "sse_stream"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value  # cache so later lookups skip __getattr__
-    return value
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "AnalysisCounters": "repro.obs.metrics",
+        "Counter": "repro.obs.metrics",
+        "Gauge": "repro.obs.metrics",
+        "Histogram": "repro.obs.metrics",
+        "MetricsRegistry": "repro.obs.metrics",
+        "Span": "repro.obs.trace",
+        "Tracer": "repro.obs.trace",
+        "get_tracer": "repro.obs.trace",
+        "install_tracer": "repro.obs.trace",
+        "span": "repro.obs.trace",
+        "tracing": "repro.obs.trace",
+        "uninstall_tracer": "repro.obs.trace",
+        "use_tracer": "repro.obs.trace",
+        "AuditEvent": "repro.obs.audit",
+        "AuditLog": "repro.obs.audit",
+        "ReplayOutcome": "repro.obs.replay",
+        "schema_fingerprint": "repro.obs.replay",
+        "summarize": "repro.obs.report",
+        "render_text": "repro.obs.report",
+        "render_json": "repro.obs.report",
+        "RollingLatency": "repro.obs.telemetry",
+        "StreamHub": "repro.obs.telemetry",
+        "StreamSubscription": "repro.obs.telemetry",
+        "current_request_id": "repro.obs.telemetry",
+        "parse_prometheus": "repro.obs.telemetry",
+        "render_prometheus": "repro.obs.telemetry",
+        "set_request_id": "repro.obs.telemetry",
+        "sse_stream": "repro.obs.telemetry",
+    },
+)

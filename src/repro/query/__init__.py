@@ -15,13 +15,7 @@ with optional relationship traversals — enough to exercise every mapping
 direction without building a full query engine.
 """
 
-from repro.query.ast import Comparison, Join, Request
-from repro.query.parser import parse_request
-from repro.query.rewrite import (
-    ComponentRequest,
-    rewrite_to_components,
-    rewrite_to_integrated,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Comparison",
@@ -32,3 +26,16 @@ __all__ = [
     "rewrite_to_components",
     "rewrite_to_integrated",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Comparison": "repro.query.ast",
+        "Join": "repro.query.ast",
+        "Request": "repro.query.ast",
+        "parse_request": "repro.query.parser",
+        "ComponentRequest": "repro.query.rewrite",
+        "rewrite_to_components": "repro.query.rewrite",
+        "rewrite_to_integrated": "repro.query.rewrite",
+    },
+)

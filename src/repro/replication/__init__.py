@@ -17,18 +17,7 @@ client.  The service wiring — ``--replica-of``, lag-bounded reads,
 promotion endpoints — lives in :mod:`repro.service`.
 """
 
-from repro.replication.applier import ReplicaApplier, payload_fingerprint
-from repro.replication.client import ReplicaClient
-from repro.replication.coordinator import ROLES, ReplicationCoordinator
-from repro.replication.errors import (
-    FencedError,
-    NotLeaderError,
-    ReplicaLagError,
-    ReplicationError,
-    ReplicationGapError,
-)
-from repro.replication.frames import decode_frames, encode_frames
-from repro.replication.shipper import ShipCursor, Shipment, WalShipper
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FencedError",
@@ -47,3 +36,24 @@ __all__ = [
     "encode_frames",
     "payload_fingerprint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ReplicaApplier": "repro.replication.applier",
+        "payload_fingerprint": "repro.replication.applier",
+        "ReplicaClient": "repro.replication.client",
+        "ROLES": "repro.replication.coordinator",
+        "ReplicationCoordinator": "repro.replication.coordinator",
+        "FencedError": "repro.replication.errors",
+        "NotLeaderError": "repro.replication.errors",
+        "ReplicaLagError": "repro.replication.errors",
+        "ReplicationError": "repro.replication.errors",
+        "ReplicationGapError": "repro.replication.errors",
+        "decode_frames": "repro.replication.frames",
+        "encode_frames": "repro.replication.frames",
+        "ShipCursor": "repro.replication.shipper",
+        "Shipment": "repro.replication.shipper",
+        "WalShipper": "repro.replication.shipper",
+    },
+)

@@ -42,7 +42,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
-import http.client
 import json
 import threading
 import time
@@ -199,6 +198,10 @@ class HttpLeaderLink:
         query: dict[str, str] | None = None,
         body: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
+        # only a follower talks to a leader over HTTP: importing the
+        # client here keeps ssl and email out of every server's start
+        import http.client
+
         parsed = urllib.parse.urlsplit(self.leader_url)
         factory = (
             http.client.HTTPSConnection

@@ -22,24 +22,7 @@ inconsistent inputs it raises :class:`~repro.errors.ConsistencyFailure`
 with a verified-minimal conflict set instead of one derivation chain.
 """
 
-from repro.errors import ConsistencyFailure
-from repro.solver.engine import (
-    AssertionExplanation,
-    ConstraintSolver,
-    Propagation,
-    SolverSolution,
-    explain_assertion,
-    propagate,
-)
-from repro.solver.explain import (
-    is_consistent,
-    minimal_conflict,
-    verify_conflict,
-)
-from repro.solver.suggest import (
-    SolverSuggestion,
-    suggest_equivalence_assertions,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AssertionExplanation",
@@ -55,3 +38,21 @@ __all__ = [
     "suggest_equivalence_assertions",
     "verify_conflict",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ConsistencyFailure": "repro.errors",
+        "AssertionExplanation": "repro.solver.engine",
+        "ConstraintSolver": "repro.solver.engine",
+        "Propagation": "repro.solver.engine",
+        "SolverSolution": "repro.solver.engine",
+        "explain_assertion": "repro.solver.engine",
+        "propagate": "repro.solver.engine",
+        "is_consistent": "repro.solver.explain",
+        "minimal_conflict": "repro.solver.explain",
+        "verify_conflict": "repro.solver.explain",
+        "SolverSuggestion": "repro.solver.suggest",
+        "suggest_equivalence_assertions": "repro.solver.suggest",
+    },
+)

@@ -37,9 +37,9 @@ from repro.obs.trace import span
 def _network_over(facts: Sequence[Assertion]) -> AssertionNetwork:
     """A fresh network whose nodes are the facts' objects."""
     network = AssertionNetwork()
-    for fact in facts:
-        network.add_object(fact.first)
-        network.add_object(fact.second)
+    network.add_objects(
+        ref for fact in facts for ref in (fact.first, fact.second)
+    )
     return network
 
 

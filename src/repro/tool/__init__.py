@@ -17,15 +17,7 @@ The six main-menu tasks follow the paper:
 6. integration and browsing (Screens 10-12, control flow of Figure 6).
 """
 
-from repro.tool.terminal import VirtualTerminal
-from repro.tool.results import (
-    FederationAttachment,
-    GlobalRequestResult,
-    RecoveryInfo,
-)
-from repro.tool.session import ToolSession
-from repro.tool.app import ToolApp, run_script
-from repro.tool.screens import MainMenuScreen
+from repro._lazy import lazy_exports
 
 __all__ = [
     "VirtualTerminal",
@@ -38,3 +30,17 @@ __all__ = [
     "GlobalRequestResult",
     "RecoveryInfo",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "VirtualTerminal": "repro.tool.terminal",
+        "FederationAttachment": "repro.tool.results",
+        "GlobalRequestResult": "repro.tool.results",
+        "RecoveryInfo": "repro.tool.results",
+        "ToolSession": "repro.tool.session",
+        "ToolApp": "repro.tool.app",
+        "run_script": "repro.tool.app",
+        "MainMenuScreen": "repro.tool.screens",
+    },
+)

@@ -13,20 +13,13 @@ structural core of those procedures:
   parent-child arcs become (1,1)/(0,n) relationship sets.
 """
 
-from repro.translate.relational import (
-    Column,
-    ForeignKey,
-    Table,
-    RelationalSchema,
-    translate_relational,
-)
+from repro._lazy import lazy_exports
+
+# ``to_relational`` is also the name of the module that defines it, and
+# loading that module rebinds this package's attribute to the module.
+# Binding the function first keeps ``repro.translate.to_relational`` the
+# function whoever imports the module later.
 from repro.translate.to_relational import to_relational
-from repro.translate.hierarchical import (
-    Field,
-    RecordType,
-    HierarchicalSchema,
-    translate_hierarchical,
-)
 
 __all__ = [
     "Column",
@@ -40,3 +33,18 @@ __all__ = [
     "HierarchicalSchema",
     "translate_hierarchical",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Column": "repro.translate.relational",
+        "ForeignKey": "repro.translate.relational",
+        "Table": "repro.translate.relational",
+        "RelationalSchema": "repro.translate.relational",
+        "translate_relational": "repro.translate.relational",
+        "Field": "repro.translate.hierarchical",
+        "RecordType": "repro.translate.hierarchical",
+        "HierarchicalSchema": "repro.translate.hierarchical",
+        "translate_hierarchical": "repro.translate.hierarchical",
+    },
+)

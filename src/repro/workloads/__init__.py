@@ -19,44 +19,7 @@
   benchmarks' read-routing and lag measurements.
 """
 
-from repro.workloads.university import (
-    build_sc1,
-    build_sc2,
-    build_sc3,
-    build_sc4,
-    paper_registry,
-    paper_assertions,
-    paper_candidate_pairs,
-    build_expected_figure5,
-    PAPER_ASSERTION_CODES,
-)
-from repro.workloads.generator import (
-    GeneratorConfig,
-    GeneratedPair,
-    PlantedContradiction,
-    conflict_seeded_config,
-    generate_schema_pair,
-)
-from repro.workloads.evolution import (
-    EvolutionConfig,
-    ScriptedEdit,
-    evolution_script,
-    run_evolution_script,
-)
-from repro.workloads.oracle import GroundTruth, OracleDda
-from repro.workloads.traffic import (
-    ServiceCall,
-    TrafficConfig,
-    service_traffic,
-)
-from repro.workloads.domains import (
-    build_hospital_admissions,
-    build_hospital_clinic,
-    hospital_ground_truth,
-    build_airline_reservations,
-    build_airline_operations,
-    airline_ground_truth,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "build_sc1",
@@ -89,3 +52,38 @@ __all__ = [
     "build_airline_operations",
     "airline_ground_truth",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "build_sc1": "repro.workloads.university",
+        "build_sc2": "repro.workloads.university",
+        "build_sc3": "repro.workloads.university",
+        "build_sc4": "repro.workloads.university",
+        "paper_registry": "repro.workloads.university",
+        "paper_assertions": "repro.workloads.university",
+        "paper_candidate_pairs": "repro.workloads.university",
+        "build_expected_figure5": "repro.workloads.university",
+        "PAPER_ASSERTION_CODES": "repro.workloads.university",
+        "GeneratorConfig": "repro.workloads.generator",
+        "GeneratedPair": "repro.workloads.generator",
+        "PlantedContradiction": "repro.workloads.generator",
+        "conflict_seeded_config": "repro.workloads.generator",
+        "generate_schema_pair": "repro.workloads.generator",
+        "EvolutionConfig": "repro.workloads.evolution",
+        "ScriptedEdit": "repro.workloads.evolution",
+        "evolution_script": "repro.workloads.evolution",
+        "run_evolution_script": "repro.workloads.evolution",
+        "GroundTruth": "repro.workloads.oracle",
+        "OracleDda": "repro.workloads.oracle",
+        "ServiceCall": "repro.workloads.traffic",
+        "TrafficConfig": "repro.workloads.traffic",
+        "service_traffic": "repro.workloads.traffic",
+        "build_hospital_admissions": "repro.workloads.domains",
+        "build_hospital_clinic": "repro.workloads.domains",
+        "hospital_ground_truth": "repro.workloads.domains",
+        "build_airline_reservations": "repro.workloads.domains",
+        "build_airline_operations": "repro.workloads.domains",
+        "airline_ground_truth": "repro.workloads.domains",
+    },
+)

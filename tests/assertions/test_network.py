@@ -16,7 +16,7 @@ from repro.assertions.composition import (
 from repro.assertions.kinds import AssertionKind, Relation, Source
 from repro.assertions.network import AssertionNetwork
 from repro.ecr.schema import ObjectRef
-from repro.errors import AssertionSpecError, ConflictError
+from repro.errors import AssertionSpecError, ConflictError, SchemaError
 
 
 def refs(*names):
@@ -282,6 +282,87 @@ class TestRetraction:
         # what the refusal published replays to the same state
         session.kernel.checkout(session.kernel.head)
         assert state_payload_fingerprint(session) == before
+
+
+def registration_state(network):
+    return (
+        network._ids,
+        network._refs,
+        network._rows,
+        list(network._live),
+        network._live_ranks(),
+    )
+
+
+registration_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.lists(st.sampled_from("ABCDEFG"), min_size=1, max_size=5),
+        ),
+        st.tuples(st.just("remove"), st.sampled_from("ABCDEFG")),
+        st.tuples(
+            st.just("specify"),
+            st.tuples(
+                st.sampled_from("ABCDEFG"),
+                st.sampled_from("ABCDEFG"),
+                st.sampled_from([1, 2, 3, 4]),
+            ),
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestRegistration:
+    def test_a_returning_object_keeps_its_old_id(self):
+        network = AssertionNetwork()
+        a, b, c = refs("A", "B", "C")
+        network.add_objects([a, b, c])
+        network.specify(a, b, AssertionKind.CONTAINED_IN)
+        network.remove_object(a)
+        network.add_objects([c, a])
+        assert network._ids[a] == 0
+        assert network.objects() == [b, c, a]
+        assert network._live_ranks() == [2, 0, 1]
+        assert network._rows == [bytearray([ALL_MASK]) * 3] * 3
+
+    def test_a_bad_ref_registers_nothing(self):
+        network = AssertionNetwork()
+        with pytest.raises(SchemaError):
+            network.add_objects([ObjectRef("s", "A"), "no-dot"])
+        assert registration_state(network) == ({}, [], [], [], [])
+
+    @settings(deadline=None, max_examples=100)
+    @given(registration_steps)
+    def test_one_batch_equals_one_object_at_a_time(self, steps):
+        """Registering in batches builds the same network as one by one."""
+        batched, single = AssertionNetwork(), AssertionNetwork()
+        for action, argument in steps:
+            outcomes = []
+            for network in (batched, single):
+                try:
+                    if action == "add":
+                        names = refs(*argument)
+                        if network is batched:
+                            network.add_objects(names)
+                        else:
+                            for ref in names:
+                                network.add_object(ref)
+                    elif action == "remove":
+                        network.remove_object(*refs(argument))
+                    else:
+                        first, second, code = argument
+                        network.specify(*refs(first, second), code)
+                    outcomes.append(None)
+                except (AssertionSpecError, ConflictError) as error:
+                    outcomes.append(type(error))
+            assert outcomes[0] == outcomes[1]
+            assert registration_state(batched) == registration_state(single)
+            ranks = batched._live_ranks()
+            assert [ranks[node] for node in batched._live] == list(
+                range(len(batched._live))
+            )
 
 
 class TestSeeding:
