@@ -6,7 +6,7 @@ Component schemas are not frozen once analysis begins.  A
 enters the kernel as a first-class ``evolution.apply_edit`` event and
 propagates as *localized repair* through every downstream layer — the
 equivalence registry, the memoized OCS/ACS views, the assertion network's
-support index, the cluster lattice and integrated schema, and the
+via rows and support overflow, the cluster lattice and integrated schema, and the
 federation plan cache — instead of forcing a full re-integration.  The
 repair is pinned against a from-scratch oracle
 (:mod:`repro.baselines.evolution_baselines`): incremental and rebuilt

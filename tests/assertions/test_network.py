@@ -736,3 +736,32 @@ def test_every_feasible_relation_is_realised_by_a_model(drawn):
         if len(relations) == 1 and (i, j) not in specified:
             derived = network.assertion_for(refs[i], refs[j])
             assert derived.source is Source.DERIVED
+
+
+class TestNodeLimit:
+    """A via cell names node ids below ``_MAX_NODES``; a batch that would
+    pass it is refused before the network changes."""
+
+    def test_the_bound_is_what_two_byte_via_cells_can_name(self):
+        from repro.assertions import network as module
+
+        top = module._MAX_NODES - 1  # the highest node id
+        assert module._code(top, True) <= 0xFFFF < module._code(top + 1, True)
+        AssertionNetwork._check_node_limit(module._MAX_NODES)
+        with pytest.raises(AssertionSpecError, match="at most 32767"):
+            AssertionNetwork._check_node_limit(module._MAX_NODES + 1)
+
+    def test_a_batch_past_the_limit_changes_nothing(self, monkeypatch):
+        from repro.assertions import network as module
+
+        monkeypatch.setattr(module, "_MAX_NODES", 3)
+        network = AssertionNetwork()
+        refs = [ObjectRef("s", f"O{i}") for i in range(4)]
+        network.add_objects(refs[:2])
+        with pytest.raises(AssertionSpecError):
+            network.add_objects(refs[1:])
+        assert network.objects() == refs[:2]
+        assert len(network._rows) == len(network._vias) == 2
+        # re-registering known classes does not count against the limit
+        network.add_objects(refs[:2] + refs[2:3] + refs[2:3])
+        assert network.objects() == refs[:3]
