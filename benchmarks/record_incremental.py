@@ -11,17 +11,21 @@ at most 25% of a full rebuild's steps, and one equivalence edit
 recomputes at most 25% of the OCS cells.  A third gate holds the
 closure's memory: after a finished review of a 108-class world, the
 support tables (via rows and overflow) take at most 4x the bytes of the
-mask rows, both measured with a deep ``sys.getsizeof``.
+mask rows, both measured with a deep ``sys.getsizeof``.  A fourth holds
+that a finished sitting on that world, dropped with the cycle collector
+off, leaves no object in a reference cycle.
 
 Run:  PYTHONPATH=src python benchmarks/record_incremental.py
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import harness
 from harness import Gates, schema_sizes, timed
+from repro.assertions.kinds import Source
 from repro.assertions.network import AssertionNetwork
 from repro.equivalence.registry import EquivalenceRegistry
 from repro.equivalence.session import AnalysisSession
@@ -91,8 +95,8 @@ def deep_size(obj, seen: set[int] | None = None) -> int:
     return size
 
 
-def record_closure_memory() -> dict:
-    """The closure's bytes after a finished review: mask rows vs supports.
+def reviewed_session():
+    """The seed-1000 108-class world after a finished review.
 
     Every undetermined ranked pair is specified from the world's truth,
     as a DDA reviewing the whole candidate list would.
@@ -113,6 +117,13 @@ def record_closure_memory() -> dict:
                 candidate.second,
                 pair.truth.assertion_between(candidate.first, candidate.second),
             )
+    return pair, session
+
+
+def record_closure_memory() -> dict:
+    """The closure's bytes after a finished review: mask rows vs supports."""
+    _, session = reviewed_session()
+    network = session.object_network
     row_bytes = deep_size(network._rows)
     support_bytes = deep_size(network._vias) + deep_size(network._extra)
     return {
@@ -122,6 +133,46 @@ def record_closure_memory() -> dict:
         "closure_row_bytes": row_bytes,
         "closure_support_bytes": support_bytes,
         "support_to_row_ratio": round(support_bytes / row_bytes, 3),
+    }
+
+
+def finish_sitting() -> None:
+    """The finished review, then the rest of a sitting; drops it all."""
+    pair, session = reviewed_session()
+    first, second = pair.first.name, pair.second.name
+    target = [
+        assertion
+        for assertion in session.object_network.specified_assertions()
+        if assertion.source is Source.DDA
+    ][-1]
+    session.retract(target.first, target.second)
+    session.specify(target.first, target.second, target.kind)
+    session.respecify(target.first, target.second, target.kind)
+    session.explain(target.first, target.second)
+    session.object_network.trial(target.first, target.second, target.kind)
+    session.suggest_assertions(first, second, limit=3)
+    session.integrate(first, second)
+
+
+def record_sitting_garbage() -> dict:
+    """What the cycle collector finds once a finished sitting is dropped.
+
+    The sitting runs with the collector off; every object it leaves in
+    a reference cycle is still there when :func:`gc.collect` runs.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        finish_sitting()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    return {
+        "workload": (
+            "seed-1000 world, 34 concepts, finished review, retract, "
+            "respecify, explain, trial, suggest, integrate"
+        ),
+        "sitting_cyclic_garbage": found,
     }
 
 
@@ -188,6 +239,7 @@ def main() -> int:
         ),
         "closure_retract": record_closure_retract(),
         "closure_memory": record_closure_memory(),
+        "sitting_garbage": record_sitting_garbage(),
         "ocs_edit": record_ocs_edit(),
         "screens_session": record_screens_session(),
         "facade_flow": record_facade_flow(),
@@ -205,6 +257,11 @@ def main() -> int:
         "closure_support_bytes",
         report["closure_memory"]["closure_support_bytes"],
         4 * report["closure_memory"]["closure_row_bytes"],
+    )
+    gates.equal(
+        "sitting_cyclic_garbage",
+        report["sitting_garbage"]["sitting_cyclic_garbage"],
+        0,
     )
     return harness.write_record(OUTPUT, report, gates)
 

@@ -1238,24 +1238,24 @@ class AssertionNetwork:
         if start is None:
             return chain
         seen: set[_Key] = set()
-
-        def walk(x: int, y: int) -> None:
-            key = _key(x, y)
+        # depth first, left leg before right: an explicit stack, since a
+        # recursive closure is a reference cycle that pins the network
+        stack = [start]
+        while stack:
+            key = _key(*stack.pop())
             if key in seen:
-                return
+                continue
             seen.add(key)
             specified = self._specified.get(key)
             if specified is not None:
                 chain.append(specified)
-                return
+                continue
             support = self._support_of(key)
             if support is None:
-                return
+                continue
             sx, via, sy = support
-            walk(sx, via)
-            walk(via, sy)
-
-        walk(*start)
+            stack.append((via, sy))
+            stack.append((sx, via))
         return chain
 
     def _report_for(

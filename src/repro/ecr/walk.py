@@ -136,25 +136,35 @@ def topological_order(schema: Schema) -> list[str]:
     SchemaError
         If the IS-A graph contains a cycle.
     """
+    classes = [structure.name for structure in schema.object_classes()]
+    known = set(classes)
     order: list[str] = []
     permanent: set[str] = set()
     in_progress: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in permanent:
-            return
-        if name in in_progress:
-            raise SchemaError(f"IS-A cycle through {name!r} in {schema.name!r}")
-        in_progress.add(name)
-        for parent in direct_parents(schema, name):
-            if parent in {s.name for s in schema.object_classes()}:
-                visit(parent)
-        in_progress.discard(name)
-        permanent.add(name)
-        order.append(name)
-
-    for structure in schema.object_classes():
-        visit(structure.name)
+    # depth first with an explicit stack of (class, its unvisited
+    # parents): a recursive closure would be a reference cycle
+    for root in classes:
+        if root in permanent:
+            continue
+        in_progress.add(root)
+        stack = [(root, iter(direct_parents(schema, root)))]
+        while stack:
+            name, parents = stack[-1]
+            for parent in parents:
+                if parent not in known or parent in permanent:
+                    continue
+                if parent in in_progress:
+                    raise SchemaError(
+                        f"IS-A cycle through {parent!r} in {schema.name!r}"
+                    )
+                in_progress.add(parent)
+                stack.append((parent, iter(direct_parents(schema, parent))))
+                break
+            else:
+                stack.pop()
+                in_progress.discard(name)
+                permanent.add(name)
+                order.append(name)
     return order
 
 

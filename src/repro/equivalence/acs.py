@@ -16,10 +16,13 @@ builds its own unshared cache.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.ecr.attributes import AttributeRef
+from repro.errors import EquivalenceError
+from repro.kernel.bus import weak_callback
 from repro.obs.trace import span
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
@@ -52,7 +55,8 @@ class AcsMatrix:
         first_schema: str,
         second_schema: str,
     ) -> None:
-        self._registry = registry
+        #: weak: the registry caches this view, so it owns the view
+        self._registry_ref = weakref.ref(registry)
         self.first_schema = first_schema
         self.second_schema = second_schema
         self._rows = registry.schema(first_schema).all_attribute_refs()
@@ -62,7 +66,16 @@ class AcsMatrix:
         #: memoized derived views, rebuilt together after an invalidation
         self._pairs: list[tuple[AttributeRef, AttributeRef]] | None = None
         self._booleans: list[list[bool]] | None = None
-        self._subscription = registry.subscribe(self._on_registry_change)
+        self._subscription = registry.subscribe(
+            weak_callback(self, AcsMatrix._on_registry_change)
+        )
+
+    @property
+    def _registry(self) -> "EquivalenceRegistry":
+        registry = self._registry_ref()
+        if registry is None:
+            raise EquivalenceError("the view's registry has been freed")
+        return registry
 
     def close(self) -> None:
         """Stop tracking registry changes (the view goes stale)."""

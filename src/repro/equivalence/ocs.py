@@ -19,11 +19,14 @@ unshared cache (it still invalidates correctly).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.ecr.objects import ObjectClass, ObjectKind
 from repro.ecr.schema import ObjectRef
+from repro.errors import EquivalenceError
+from repro.kernel.bus import weak_callback
 from repro.obs.trace import span
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
@@ -59,7 +62,8 @@ class OcsMatrix:
         *,
         kind_filter: ObjectKind | None = None,
     ) -> None:
-        self._registry = registry
+        #: weak: the registry caches this view, so it owns the view
+        self._registry_ref = weakref.ref(registry)
         self.first_schema = first_schema
         self.second_schema = second_schema
         self.kind_filter = kind_filter
@@ -74,7 +78,16 @@ class OcsMatrix:
         #: any cell of this matrix is invalidated
         self.view_cache: dict[object, object] = {}
         self._reselect()
-        self._subscription = registry.subscribe(self._on_registry_change)
+        self._subscription = registry.subscribe(
+            weak_callback(self, OcsMatrix._on_registry_change)
+        )
+
+    @property
+    def _registry(self) -> "EquivalenceRegistry":
+        registry = self._registry_ref()
+        if registry is None:
+            raise EquivalenceError("the view's registry has been freed")
+        return registry
 
     def close(self) -> None:
         """Stop tracking registry changes (the view goes stale)."""

@@ -26,6 +26,7 @@ interactive loop never rebuilds a matrix from scratch per keystroke.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -134,17 +135,25 @@ class EquivalenceRegistry:
         cancels it.  Events that changed nothing (a re-declared
         equivalence, a removal from a singleton class) are filtered out,
         matching the old direct-notification behaviour.
+
+        The bus holds ``listener`` strongly, so any callable keeps
+        receiving events while the registry lives.  The registry itself
+        is held weakly: the registry owns the bus, and once the registry
+        is freed its subscriptions deliver nothing.
         """
+        registry = weakref.ref(self)
+        kinds = self._CHANGE_KINDS
 
         def adapter(event: "Event") -> None:
             if not event.objects and not event.schemas:
                 return  # no-op mutation: nothing to invalidate
-            kind = self._CHANGE_KINDS.get(event.action)
-            if kind is None:
+            kind = kinds.get(event.action)
+            owner = registry()
+            if kind is None or owner is None:
                 return
             listener(
                 RegistryChange(
-                    kind, self._version, event.objects, event.schemas
+                    kind, owner._version, event.objects, event.schemas
                 )
             )
 

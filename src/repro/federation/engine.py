@@ -165,6 +165,10 @@ class FederationEngine:
             reconcile_entities=reconcile_entities,
         )
 
+    def close(self) -> None:
+        """Detach the planner from the registry (idempotent)."""
+        self.planner.close()
+
     # -- queries -----------------------------------------------------------------
 
     def plan(self, request: Request | str) -> FederatedPlan:

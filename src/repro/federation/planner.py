@@ -19,9 +19,10 @@ is supplied it subscribes to its
 the kernel event bus) and each mutation advances the token and drops
 every cached plan — a schema or equivalence edit changes the mappings,
 so no stale plan can survive it.  :meth:`QueryPlanner.invalidate` does
-the same by hand for registry-less planners.  Hit/miss counts feed the
-``federation.plan.*`` metrics (the plan-cache hit ratio the benchmark
-records).
+the same by hand for registry-less planners, and
+:meth:`QueryPlanner.close` cancels the subscription when the planner is
+dropped or replaced.  Hit/miss counts feed the ``federation.plan.*``
+metrics (the plan-cache hit ratio the benchmark records).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.ecr.schema import ObjectRef, Schema
 from repro.ecr.walk import inherited_attributes
 from repro.federation.plan import FederatedPlan, MergeStrategy, PairAssertion
 from repro.integration.mappings import SchemaMapping
+from repro.kernel.bus import weak_callback
 from repro.obs.trace import span
 from repro.query.ast import Request
 from repro.query.rewrite import ComponentRequest, rewrite_to_components
@@ -64,8 +66,25 @@ class QueryPlanner:
         self._local_version = 0
         #: plans the most recent localized ``evolve`` change dropped
         self.last_evolve_invalidated = 0
-        if registry is not None:
-            registry.subscribe(self._on_registry_change)
+        #: the registry subscription (:meth:`close` cancels it); the bus
+        #: holds this planner weakly, so a dropped planner is freed
+        self._subscription = (
+            registry.subscribe(
+                weak_callback(self, QueryPlanner._on_registry_change)
+            )
+            if registry is not None
+            else None
+        )
+
+    def close(self) -> None:
+        """Stop tracking registry changes (idempotent).
+
+        Call when the planner is dropped or replaced; cached plans stay
+        but nothing invalidates them any more.
+        """
+        if self._subscription is not None:
+            self._subscription.cancel()
+            self._subscription = None
 
     # -- cache control ----------------------------------------------------------
 

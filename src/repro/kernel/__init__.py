@@ -30,6 +30,7 @@ __all__ = [
     "merge_wal_records",
     "scan_records",
     "schema_fingerprint",
+    "weak_callback",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -42,6 +43,7 @@ __getattr__, __dir__ = lazy_exports(
         "EventBus": "repro.kernel.bus",
         "EventEmitter": "repro.kernel.bus",
         "Subscription": "repro.kernel.bus",
+        "weak_callback": "repro.kernel.bus",
         "NO_CHANGE": "repro.kernel.events",
         "Command": "repro.kernel.events",
         "Event": "repro.kernel.events",

@@ -21,15 +21,38 @@ facilities:
 Subscriptions filter by scope and action; ``live_only`` subscribers
 (the service's event stream) skip replayed events, so a checkout never
 re-delivers history to them.
+
+The bus holds its subscriptions and hooks; nothing it holds points back
+to the bus strongly (a :class:`Subscription` keeps a weak reference), so
+a dropped bus is freed by reference counting, not by the cycle
+collector.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.kernel.events import NO_CHANGE, Event
+
+
+def weak_callback(owner: Any, method: Callable[..., None]) -> Callable[..., None]:
+    """A callback that runs ``method(owner, *args)`` while ``owner`` lives.
+
+    For a component that the bus (or something the bus holds) would
+    otherwise keep alive through its own bound method: the callback
+    holds the component weakly and does nothing once it is freed.
+    """
+    ref = weakref.ref(owner)
+
+    def callback(*args: Any) -> None:
+        target = ref()
+        if target is not None:
+            method(target, *args)
+
+    return callback
 
 
 class Subscription:
@@ -45,7 +68,8 @@ class Subscription:
         actions: frozenset | None,
         live_only: bool,
     ) -> None:
-        self._bus = bus
+        #: weak: the bus holds the subscription, not the other way round
+        self._bus = weakref.ref(bus)
         self.callback = callback
         self.scopes = scopes
         self.actions = actions
@@ -59,8 +83,10 @@ class Subscription:
         return True
 
     def cancel(self) -> None:
-        """Stop receiving events (idempotent)."""
-        self._bus._remove(self)
+        """Stop receiving events (idempotent; a no-op once the bus is gone)."""
+        bus = self._bus()
+        if bus is not None:
+            bus._remove(self)
 
 
 class Group:
@@ -356,4 +382,11 @@ class EventEmitter:
             self._mute_depth -= 1
 
 
-__all__ = ["EventBus", "EventEmitter", "Group", "Subscription", "NO_CHANGE"]
+__all__ = [
+    "EventBus",
+    "EventEmitter",
+    "Group",
+    "Subscription",
+    "NO_CHANGE",
+    "weak_callback",
+]

@@ -35,17 +35,23 @@ book-keeping that turns a flat event log into a session's history:
 All write operations run under the bus lock, so two sessions sharing a
 kernel interleave at transaction granularity — the single-writer
 discipline the concurrency stress test exercises.
+
+The session owns its kernel and the kernel owns its bus; the edges back
+up (:attr:`Kernel.session`, the bus's publish hooks) are weak, so
+dropping the last reference to a session frees the whole graph by
+reference counting.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right, insort
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, TypeVar
 
 from repro.errors import KernelError, ReplayError
 from repro.kernel.apply import apply_event, event_label
-from repro.kernel.bus import EventBus, Group
+from repro.kernel.bus import EventBus, Group, weak_callback
 from repro.kernel.events import NO_CHANGE, Command, Event
 from repro.kernel.snapshots import Snapshot, apply_state
 
@@ -98,8 +104,8 @@ class Kernel:
 
     def __init__(self, *, bus: EventBus | None = None) -> None:
         self.bus = bus if bus is not None else EventBus()
-        #: the bound session (:meth:`bind`); time travel rebuilds it in place
-        self.session: "AnalysisSession | None" = None
+        #: weak reference to the bound session (:meth:`bind`, :attr:`session`)
+        self._session: "weakref.ref[AnalysisSession] | None" = None
         self._head = self.bus.offset
         #: the state at the baseline offset; every rebuild starts here
         self._base = Snapshot(self.bus.offset, {})
@@ -128,14 +134,30 @@ class Kernel:
         #: monotonic count of live publishes — lets a transaction tell
         #: whether anything actually reached the log before it failed
         self._live_publishes = 0
-        self.bus.before_publish = self._before_live_publish
-        self.bus.after_publish = self._after_live_publish
+        # the kernel owns the bus, so the hooks hold it weakly
+        self.bus.before_publish = weak_callback(
+            self, Kernel._before_live_publish
+        )
+        self.bus.after_publish = weak_callback(self, Kernel._after_live_publish)
 
     # -- binding and cursors ----------------------------------------------------
 
     def bind(self, session: "AnalysisSession") -> None:
-        """Attach the session whose state this kernel's log describes."""
-        self.session = session
+        """Attach the session whose state this kernel's log describes.
+
+        The kernel keeps a weak reference: the session owns the kernel,
+        not the other way round.
+        """
+        self._session = weakref.ref(session)
+
+    @property
+    def session(self) -> "AnalysisSession | None":
+        """The bound session; ``None`` if unbound or already freed.
+
+        Time travel rebuilds it in place.
+        """
+        ref = self._session
+        return None if ref is None else ref()
 
     @property
     def head(self) -> int:
@@ -165,9 +187,10 @@ class Kernel:
             self._reads = {}
 
     def _require_session(self) -> "AnalysisSession":
-        if self.session is None:
+        session = self.session
+        if session is None:
             raise KernelError("kernel has no bound session")
-        return self.session
+        return session
 
     # -- live-publish hooks ------------------------------------------------------
 
@@ -238,7 +261,7 @@ class Kernel:
         """
         with self.bus.lock:
             self.audit = log
-            snapshot = self.session._audit_snapshot()
+            snapshot = self._require_session()._audit_snapshot()
             if any(snapshot.values()):
                 log.emit("session", "snapshot", snapshot)
             self._audit_origin = self._audit_end = self._head
@@ -295,7 +318,7 @@ class Kernel:
             offset = {"offset": self._head - self._audit_origin}
             log.emit("kernel", action, offset if action == "checkout" else {})
         else:
-            log.emit("session", "snapshot", self.session._audit_snapshot())
+            log.emit("session", "snapshot", self._require_session()._audit_snapshot())
             self._audit_origin = self._audit_end = self._head
 
     # -- grouping and transactions ----------------------------------------------

@@ -110,7 +110,7 @@ class ToolSession:
         """Re-sync the tool's denormalised views after the kernel moved."""
         self._sync_schemas()
         self.result = self.analysis.kernel.result_at_head()
-        self.federation = None  # derived from the result; re-attach on demand
+        self.close_federation()  # derived from the result; re-attach on demand
 
     def _sync_schemas(self) -> None:
         """Re-read the schemas from a session that was rebuilt in place."""
@@ -272,7 +272,7 @@ class ToolSession:
                 name: populate_store(self.schema(name), seed=index + 1)
                 for index, name in enumerate(sorted(mappings))
             }
-        self.federation = FederationEngine.for_stores(
+        engine = FederationEngine.for_stores(
             {name: mappings[name] for name in stores},
             stores,
             result.schema,
@@ -280,12 +280,20 @@ class ToolSession:
             registry=self.registry,
             policy=policy,
         )
+        self.close_federation()
+        self.federation = engine
         return FederationAttachment(
             components=tuple(sorted(stores)),
             integrated_schema=result.schema.name,
             demo_components=demo,
             engine=self.federation,
         )
+
+    def close_federation(self) -> None:
+        """Drop the attached engine and cancel its registry subscription."""
+        if self.federation is not None:
+            self.federation.close()
+            self.federation = None
 
     def require_federation(self):
         """The attached engine, auto-attaching demo stores if needed."""

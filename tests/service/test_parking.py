@@ -3,10 +3,14 @@
 A parked session is saved and dropped; its kernel is gone, so nothing
 can append to its WAL again.  The open segment file must be closed with
 it, on an eviction and on ``ServiceApp.close()`` alike, and the session
-must still rehydrate to the same state.
+must still rehydrate to the same state.  The dropped session is freed at
+once, by reference counting, without waiting for the cycle collector.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 from repro.service import ServiceApp, TenantAuth
 
@@ -67,3 +71,34 @@ def test_app_close_closes_every_wal_segment(tmp_path):
         assert after == before
     finally:
         reopened.close()
+
+
+def _graph(app: ServiceApp) -> list[weakref.ref]:
+    """Weak references to the resident session, its analysis and kernel."""
+    session = app.manager._records[("acme", "s")].session
+    analysis = session.analysis
+    return [weakref.ref(part) for part in (session, analysis, analysis.kernel)]
+
+
+def test_a_parked_session_is_freed_without_the_cycle_collector(tmp_path):
+    """Evicting and purging drop the last reference to the session.
+
+    With the collector off, the dropped :class:`ToolSession` must be
+    gone at once: nothing in its graph points back at it.  A rehydrated
+    session still reads the state it was parked with.
+    """
+    app = _app(tmp_path / "service")
+    gc.disable()
+    try:
+        client = Client(app)
+        before = _session_with_schema(client)
+        parked = _graph(app)
+        assert client.delete("/v1/sessions/s")[1]["evicted"]
+        assert [ref() for ref in parked] == [None] * 3
+        assert client.get("/v1/sessions/s")[1]["state_fingerprint"] == before
+        purged = _graph(app)
+        app.manager.purge("acme", "s")
+        assert [ref() for ref in purged] == [None] * 3
+    finally:
+        gc.enable()
+        app.close()

@@ -1,5 +1,8 @@
 """Tests for the tool session state."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ecr.attributes import Attribute
@@ -173,3 +176,43 @@ class TestEvolution:
         )
         rows = loaded.execute_global_request("select Name from Department")
         assert rows.rows
+
+
+class TestFederationLifetime:
+    def test_undo_and_reconnect_leave_no_stale_planner(self, loaded):
+        """Each round attaches a federation, edits, and undoes the edit.
+
+        The undo drops the federation; its planner must stop listening
+        to the registry and be freed, so the bus's subscriptions stay
+        as many as one attached planner needs.
+        """
+        loaded.integrate()
+        bus = loaded.analysis.kernel.bus
+        planners = []
+        counts = []
+        for _ in range(5):
+            loaded.connect_federation()
+            planners.append(weakref.ref(loaded.federation.planner))
+            loaded.registry.declare_equivalent(
+                "sc1.Student.Name", "sc2.Grad_student.Name"
+            )
+            loaded.undo()
+            assert loaded.federation is None
+            counts.append(len(bus._subscriptions))
+        gc.collect()
+        assert len(set(counts)) == 1
+        assert [planner() for planner in planners] == [None] * 5
+
+    def test_a_new_federation_replaces_the_old_planner(self, loaded):
+        loaded.integrate()
+        loaded.connect_federation()
+        old = loaded.federation
+        loaded.connect_federation()
+        assert old.planner._subscription is None
+        gc.collect()
+        planner = loaded.federation.planner
+        before = planner.version_token()
+        loaded.registry.declare_equivalent(
+            "sc1.Student.Name", "sc2.Grad_student.Name"
+        )
+        assert planner.version_token() == before + 1
