@@ -77,10 +77,11 @@ def measure_snapshot_restore() -> dict:
     session = build_paper_world()
     state = session.kernel.export_state()
 
-    def restore() -> None:
+    def restore() -> AnalysisSession:
         kernel = Kernel.restore(state)
-        AnalysisSession(kernel=kernel)
+        restored = AnalysisSession(kernel=kernel)  # the kernel holds it weakly
         kernel.checkout(state["head"])
+        return restored
 
     elapsed, _ = timed(restore)
     return {

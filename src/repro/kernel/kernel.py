@@ -675,7 +675,8 @@ class Kernel:
     def restore(cls, state: dict[str, Any]) -> "Kernel":
         """Rebuild a kernel from :meth:`export_state` output.
 
-        The caller binds a fresh session and then checks out the saved
+        The caller binds a fresh session, keeps a reference to it (the
+        kernel holds its session weakly) and then checks out the saved
         head: ``kernel.checkout(state["head"])`` — restore *is*
         baseline + replay.  Of the ``snapshots`` entries only the one at
         the baseline offset is read; older exports also carried periodic
