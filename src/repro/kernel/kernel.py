@@ -135,9 +135,14 @@ class Kernel:
         #: whether anything actually reached the log before it failed
         self._live_publishes = 0
         # the kernel owns the bus, so the hooks hold it weakly
-        self.bus.before_publish = weak_callback(
-            self, Kernel._before_live_publish
-        )
+        ref = weakref.ref(self)
+
+        def before_publish() -> None:
+            kernel = ref()
+            if kernel is not None:
+                kernel._before_live_publish()
+
+        self.bus.before_publish = before_publish
         self.bus.after_publish = weak_callback(self, Kernel._after_live_publish)
 
     # -- binding and cursors ----------------------------------------------------

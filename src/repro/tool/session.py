@@ -535,6 +535,7 @@ class ToolSession:
         if audit is not None:
             self.analysis.attach_audit(audit)
         self.selected_pair = None
+        self.close_federation()  # it planned over the replaced state
 
     # -- browse helpers ---------------------------------------------------------------
 

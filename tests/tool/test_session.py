@@ -216,3 +216,14 @@ class TestFederationLifetime:
             "sc1.Student.Name", "sc2.Grad_student.Name"
         )
         assert planner.version_token() == before + 1
+
+    def test_loading_a_save_drops_the_federation(self, loaded, tmp_path):
+        loaded.integrate()
+        path = tmp_path / "s.json"
+        loaded.save(path)
+        loaded.connect_federation()
+        planner = weakref.ref(loaded.federation.planner)
+        loaded.restore_from(path)
+        assert loaded.federation is None
+        gc.collect()
+        assert planner() is None
