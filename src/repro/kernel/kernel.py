@@ -323,7 +323,8 @@ class Kernel:
             offset = {"offset": self._head - self._audit_origin}
             log.emit("kernel", action, offset if action == "checkout" else {})
         else:
-            log.emit("session", "snapshot", self._require_session()._audit_snapshot())
+            snapshot = self._require_session()._audit_snapshot()
+            log.emit("session", "snapshot", snapshot)
             self._audit_origin = self._audit_end = self._head
 
     # -- grouping and transactions ----------------------------------------------
